@@ -1,0 +1,252 @@
+/**
+ * @file
+ * Output pins: byte-level fingerprints of every observability surface
+ * that post-processes a replay — the μprof profile JSON, the μscope
+ * timeline JSON and the Perfetto trace JSON on all 21 baselines, the
+ * μfit campaign JSON for the handshake, control and DRAM fault kinds,
+ * and the rendered hang diagnosis of a pinned token loss.
+ *
+ * Each surface is hashed (FNV-1a, 64 bit) and compared against a
+ * fixed table. A refactor of the DDG representation or of the replay
+ * loop must leave every hash unchanged; a deliberate output change
+ * re-captures the table from the failure messages, which print the
+ * observed hash for every key.
+ *
+ * The profile is hashed in its deterministic form. Its critical-path
+ * ranking breaks cycle ties by task id, and lowering can number
+ * sibling loop tasks in a different order from one process to the
+ * next, so tied entries are put in (task, node) name order first.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <map>
+#include <string>
+
+#include "sim/fault.hh"
+#include "sim/simulator.hh"
+#include "support/logging.hh"
+#include "workloads/driver.hh"
+
+namespace muir
+{
+
+namespace
+{
+
+uint64_t
+fnv1a(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+const std::map<std::string, uint64_t> &
+pinnedHashes()
+{
+    static const std::map<std::string, uint64_t> pins = {
+        {"2mm.profile", 0x0c218dfe87ddde85ull},
+        {"2mm.timeline", 0x4f1b552ac31828e3ull},
+        {"2mm.trace", 0xd2f23624b1d9ba9eull},
+        {"2mm_t.profile", 0x4db6698efd247c51ull},
+        {"2mm_t.timeline", 0x893060642c537887ull},
+        {"2mm_t.trace", 0x6a7e01d402393ca5ull},
+        {"3mm.profile", 0x919db330688af024ull},
+        {"3mm.timeline", 0xc312a3a60de49595ull},
+        {"3mm.trace", 0x16fd4648851646efull},
+        {"conv.profile", 0x11f7666fe6059396ull},
+        {"conv.timeline", 0xb39502efe14bf55full},
+        {"conv.trace", 0x780bf57a1d5fb0bcull},
+        {"conv_t.profile", 0x968fbbd0cb757264ull},
+        {"conv_t.timeline", 0x82ff648114f0a0e3ull},
+        {"conv_t.trace", 0x16b3968148ce83f4ull},
+        {"covar.profile", 0x2f8334ca1751c06eull},
+        {"covar.timeline", 0xe7c47d369da478e3ull},
+        {"covar.trace", 0x1bf315fdca20c0dbull},
+        {"dense16.profile", 0x8dd98a9f80d4e272ull},
+        {"dense16.timeline", 0xbc7edef6466a0aeeull},
+        {"dense16.trace", 0x0939050485c6e06eull},
+        {"dense8.profile", 0x72b795a1d1ac880aull},
+        {"dense8.timeline", 0x281694d789d03797ull},
+        {"dense8.trace", 0x4d2fb2890fbfbba4ull},
+        {"fft.profile", 0x2635556a0ef994dcull},
+        {"fft.timeline", 0x0fa005078a8df20full},
+        {"fft.trace", 0x99e3ed933143c6a7ull},
+        {"fib.dramtimeout", 0x43d3745b3ef1b3d9ull},
+        {"fib.lostspawn", 0x27807400b016b289ull},
+        {"fib.lostsync", 0xe872335d5a848c4aull},
+        {"fib.profile", 0x46ea3393f003f07eull},
+        {"fib.stuckvalid", 0x5175fca6d484070dull},
+        {"fib.timeline", 0xa271fbb2b1795609ull},
+        {"fib.tokendrop", 0x0bc593595cc17379ull},
+        {"fib.tokendup", 0xc85432e584b300e0ull},
+        {"fib.trace", 0x47d749662aad6a88ull},
+        {"gemm.dramtimeout", 0xbac89875308463ecull},
+        {"gemm.lostspawn", 0xfe666881849812d7ull},
+        {"gemm.lostsync", 0x1927ca67c0838937ull},
+        {"gemm.profile", 0x3a1e35f2f96d1432ull},
+        {"gemm.stuckvalid", 0x7c5449aabb88aadeull},
+        {"gemm.timeline", 0x8d2f73eae9cafc42ull},
+        {"gemm.tokendrop", 0x6a166fb789c545cfull},
+        {"gemm.tokendup", 0x45cf992370577ae3ull},
+        {"gemm.trace", 0x682e0604d069a040ull},
+        {"img_scale.profile", 0x18707447c491cbc2ull},
+        {"img_scale.timeline", 0x22a5a65d20ea89f9ull},
+        {"img_scale.trace", 0xac3531bdee396c9dull},
+        {"msort.profile", 0xc68f1b58dd8597c0ull},
+        {"msort.timeline", 0x5a5e5613c8d920c6ull},
+        {"msort.trace", 0x58700affc2e13529ull},
+        {"relu.profile", 0x07636ad6c6be1eceull},
+        {"relu.timeline", 0x2c7004a9aaaa3918ull},
+        {"relu.trace", 0x17bdf369c928a75cull},
+        {"relu_t.profile", 0xa8ebdf189dfbbf7dull},
+        {"relu_t.timeline", 0x99f0e746a6d78f65ull},
+        {"relu_t.trace", 0x305d86b06cf582feull},
+        {"rgb2yuv.profile", 0x500d9053259ce241ull},
+        {"rgb2yuv.timeline", 0x92691069e7c1015cull},
+        {"rgb2yuv.trace", 0xaf171e1a390219deull},
+        {"saxpy.dramtimeout", 0xd4cb0c9484aab776ull},
+        {"saxpy.lostspawn", 0x98b669ebac551df4ull},
+        {"saxpy.lostsync", 0x1458d298043fcf12ull},
+        {"saxpy.profile", 0x5a21bc89a3d1020aull},
+        {"saxpy.stuckvalid", 0x550fa17130927abbull},
+        {"saxpy.timeline", 0x75b1718393a04c34ull},
+        {"saxpy.tokendrop", 0x9d94128bf9dfd377ull},
+        {"saxpy.tokendrop.diagnosis", 0x7669c2b630a73d1full},
+        {"saxpy.tokendup", 0xd9f3115c9c03a453ull},
+        {"saxpy.trace", 0xd15c7644a28cddf4ull},
+        {"softm16.profile", 0x80407230af2eb657ull},
+        {"softm16.timeline", 0x1f57100f2b95f132ull},
+        {"softm16.trace", 0xccf5321e67966541ull},
+        {"softm8.profile", 0x6547008b7915c3f9ull},
+        {"softm8.timeline", 0x3160e59072876d4cull},
+        {"softm8.trace", 0xc152dc5161fe4a6eull},
+        {"spmv.profile", 0x7140306f554979edull},
+        {"spmv.timeline", 0x6a8d531d41368e5cull},
+        {"spmv.trace", 0x293e867718a8ccdaull},
+        {"stencil.profile", 0xbd7a23dfdadb578cull},
+        {"stencil.timeline", 0x9a4124f73e1fe83aull},
+        {"stencil.trace", 0x9ea8567c4d7b09fbull},
+    };
+    return pins;
+}
+
+void
+expectPinned(const std::string &key, const std::string &text)
+{
+    uint64_t h = fnv1a(text);
+    char captured[96];
+    std::snprintf(captured, sizeof captured,
+                  "{\"%s\", 0x%016" PRIx64 "ull},", key.c_str(), h);
+    auto it = pinnedHashes().find(key);
+    if (it == pinnedHashes().end()) {
+        ADD_FAILURE() << "no pin for " << key << "; observed "
+                      << captured;
+        return;
+    }
+    EXPECT_EQ(h, it->second) << "observed " << captured;
+}
+
+/** The profile JSON with critical-path ties in name order. */
+std::string
+deterministicProfileJson(sim::ProfileResult profile)
+{
+    std::stable_sort(
+        profile.criticalPath.begin(), profile.criticalPath.end(),
+        [](const sim::CritPathEntry &a, const sim::CritPathEntry &b) {
+            if (a.cycles != b.cycles)
+                return a.cycles > b.cycles;
+            const std::string &ta = a.node->parent()->name();
+            const std::string &tb = b.node->parent()->name();
+            if (ta != tb)
+                return ta < tb;
+            return a.node->name() < b.node->name();
+        });
+    return sim::profileJson(profile);
+}
+
+sim::CampaignResult
+campaign(const workloads::Workload &w, const uir::Accelerator &accel,
+         const std::string &spec_text, unsigned runs, uint64_t seed)
+{
+    sim::CampaignSpec spec;
+    std::string error;
+    EXPECT_TRUE(sim::parseFaultSpec(spec_text, spec.fault, &error))
+        << error;
+    spec.runs = runs;
+    spec.seed = seed;
+    spec.jobs = 2;
+    return sim::runCampaign(accel, *w.module,
+                            [&](ir::MemoryImage &m) { w.bind(m); },
+                            spec);
+}
+
+} // namespace
+
+TEST(OutputPins, ProfileTimelineAndTraceOnEveryBaseline)
+{
+    setVerbose(false);
+    for (const std::string &name : workloads::workloadNames()) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        auto accel = workloads::lowerBaseline(w);
+        workloads::RunOptions opts;
+        opts.profile = true;
+        opts.timeline = true;
+        opts.trace = true;
+        workloads::RunResult run = workloads::runOn(w, *accel, opts);
+        ASSERT_TRUE(run.check.empty()) << name << ": " << run.check;
+        ASSERT_TRUE(run.profile && run.timeline && run.profileData)
+            << name;
+        expectPinned(name + ".profile",
+                     deterministicProfileJson(*run.profile));
+        expectPinned(name + ".timeline",
+                     sim::timelineJson(*run.timeline));
+        expectPinned(name + ".trace",
+                     sim::chromeTraceJson(run.trace, *run.profileData,
+                                          run.timeline.get()));
+    }
+}
+
+TEST(OutputPins, CampaignJsonPerFaultKind)
+{
+    setVerbose(false);
+    for (const std::string name : {"saxpy", "fib", "gemm"}) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        auto accel = workloads::lowerBaseline(w);
+        for (const std::string kind :
+             {"tokendrop", "tokendup", "stuckvalid", "lostspawn",
+              "lostsync", "dramtimeout"}) {
+            sim::CampaignResult r = campaign(w, *accel, kind, 6, 11);
+            expectPinned(name + "." + kind,
+                         r.error + r.toJson(name, kind, 6, 11));
+        }
+    }
+}
+
+TEST(OutputPins, PinnedTokenLossHangDiagnosis)
+{
+    setVerbose(false);
+    workloads::Workload w = workloads::buildWorkload("saxpy");
+    auto accel = workloads::lowerBaseline(w);
+    sim::CampaignResult r = campaign(w, *accel, "tokendrop", 1, 7);
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.records.size(), 1u);
+
+    ir::MemoryImage mem(*w.module);
+    w.bind(mem);
+    sim::SimOptions opts;
+    opts.fault = &r.records[0].plan;
+    opts.watchdog = true;
+    opts.maxCycles = r.maxCycles;
+    sim::SimResult sim = sim::simulate(*accel, mem, {}, opts);
+    ASSERT_TRUE(sim.verdict.hang.tripped());
+    expectPinned("saxpy.tokendrop.diagnosis", sim.verdict.hang.render());
+}
+
+} // namespace muir
