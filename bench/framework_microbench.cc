@@ -95,7 +95,8 @@ BM_CycleSimulation(benchmark::State &state)
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
     for (auto _ : state) {
-        auto timing = sim::scheduleDdg(*accel, exec.ddg());
+        auto timing =
+            sim::scheduleDdg(sim::compileDdg(*accel, exec.ddg()));
         benchmark::DoNotOptimize(timing.cycles);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -203,7 +204,8 @@ writeSchedulerThroughput()
     };
     double ddg_s = best_seconds(
         [&] { benchmark::DoNotOptimize(
-                  sim::scheduleDdg(*accel, ddg).cycles); });
+                  sim::scheduleDdg(sim::compileDdg(*accel, ddg))
+                      .cycles); });
     double compiled_s = best_seconds(
         [&] { benchmark::DoNotOptimize(
                   sim::scheduleDdg(compiled).cycles); });

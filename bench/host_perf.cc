@@ -1,17 +1,10 @@
 /**
  * @file
- * μmeter host-perf survey: per-workload simulator throughput and the
- * skip-ahead opportunity table. For every built-in workload this runs
- * the untransformed baseline with a μmeter sink bound and reports how
- * the scheduler spent its simulated cycles: the dispatch-frontier idle
- * fraction, its split across stall classes (DRAM return, queue drain,
- * tile II, port conflicts), and the Amdahl-style projected speedup
- * bound an event-skipping scheduler could reach by eliding idle gaps.
- *
- * The idle numbers are estimates (out-of-order dispatch can straddle a
- * gap; see src/sim/timing.cc), reported rather than asserted — the
- * point is to quantify the μsched premise per workload, not to gate on
- * host-dependent wall time.
+ * μmeter host-perf survey: per-workload simulator throughput. For
+ * every built-in workload this runs the untransformed baseline with a
+ * μmeter sink bound and reports the simulated cycles, the events the
+ * scheduler retired, and how fast it retired them. Wall-dependent
+ * columns are reported rather than asserted: they vary by machine.
  */
 #include "common.hh"
 
@@ -25,72 +18,37 @@ main()
     bench::QuietLogs quiet;
     bench::BenchJson out("host_perf");
 
-    AsciiTable table({"workload", "cycles", "events", "idle%", "dram%",
-                      "queue%", "tile_ii%", "port%", "bound",
-                      "Mev/s"});
+    AsciiTable table({"workload", "cycles", "events", "firings",
+                      "schedule ms", "Mev/s"});
     for (const std::string &name : workloads::workloadNames()) {
         // Clean-room per workload: a fresh registry per design keeps
         // each row's sim.* totals scoped to that one simulation.
         metrics::Registry registry;
         metrics::ScopedSink bind(&registry);
         bench::Design d = bench::makeDesign(name);
-        metrics::Snapshot snap = registry.snapshot();
-        metrics::SimSummary sim = metrics::summarizeSim(snap);
+        metrics::SimSummary sim =
+            metrics::summarizeSim(registry.snapshot());
 
-        auto classShare = [&](metrics::IdleClass cls) {
-            uint64_t cycles =
-                sim.idleByClass[static_cast<unsigned>(cls)];
-            return sim.cycles != 0
-                       ? 100.0 * double(cycles) / double(sim.cycles)
-                       : 0.0;
-        };
-        double idle_pct = 100.0 * sim.idleFraction;
         table.addRow(
             {name, fmt("%llu", (unsigned long long)d.run.cycles),
              fmt("%llu", (unsigned long long)sim.events),
-             fmt("%.1f", idle_pct),
-             fmt("%.1f", classShare(metrics::IdleClass::DramReturn)),
-             fmt("%.1f", classShare(metrics::IdleClass::QueueDrain)),
-             fmt("%.1f", classShare(metrics::IdleClass::TileII)),
-             fmt("%.1f", classShare(metrics::IdleClass::Port)),
-             fmt("%.2fx", sim.speedupBound),
+             fmt("%llu", (unsigned long long)sim.firings),
+             fmt("%.3f", sim.scheduleWallMs),
              fmt("%.2f", sim.eventsPerSec / 1e6)});
-
-        std::vector<std::pair<std::string, double>> metrics_row = {
-            {"cycles", double(d.run.cycles)},
-            {"events", double(sim.events)},
-            {"node_firings", double(sim.firings)},
-            {"idle_cycles", double(sim.idleTotal)},
-            {"idle_fraction", sim.idleFraction},
-            {"idle_dram_return",
-             double(sim.idleByClass[static_cast<unsigned>(
-                 metrics::IdleClass::DramReturn)])},
-            {"idle_queue_drain",
-             double(sim.idleByClass[static_cast<unsigned>(
-                 metrics::IdleClass::QueueDrain)])},
-            {"idle_tile_ii",
-             double(sim.idleByClass[static_cast<unsigned>(
-                 metrics::IdleClass::TileII)])},
-            {"idle_port", double(sim.idleByClass[static_cast<unsigned>(
-                              metrics::IdleClass::Port)])},
-            {"idle_other",
-             double(sim.idleByClass[static_cast<unsigned>(
-                 metrics::IdleClass::Other)])},
-            {"projected_speedup_bound", sim.speedupBound},
-            {"schedule_wall_ms", sim.scheduleWallMs},
-            {"events_per_sec", sim.eventsPerSec},
-        };
-        out.add("baseline", name, metrics_row);
+        out.add("baseline", name,
+                {{"cycles", double(d.run.cycles)},
+                 {"events", double(sim.events)},
+                 {"node_firings", double(sim.firings)},
+                 {"schedule_wall_ms", sim.scheduleWallMs},
+                 {"events_per_sec", sim.eventsPerSec}});
     }
 
     std::printf("%s", table
-                          .render("Host-perf survey: dispatch-frontier "
-                                  "idle and skip-ahead bound (baseline "
-                                  "configs)")
+                          .render("Host-perf survey: simulator "
+                                  "throughput (baseline configs)")
                           .c_str());
-    std::printf("note: idle split is the µmeter estimate described in "
-                "docs/observability.md;\nwall-dependent columns "
-                "(Mev/s) vary by machine.\n");
+    std::printf("note: wall-dependent columns (schedule ms, Mev/s) "
+                "vary by machine.\n");
     std::string path = out.write();
     std::printf("wrote %s\n", path.c_str());
     return 0;

@@ -54,7 +54,9 @@ struct CompiledDesign
      * one reference execution at compile time. Execution is
      * deterministic, so every replay of this (design, inputs) pair
      * records the same DDG; sharing the compiled freeze lets replays
-     * skip both the recording and the CSR rebuild. Immutable, like
+     * skip both the recording and the CSR rebuild. The reference
+     * record is dropped once compiled: the cache holds only the
+     * index. Immutable, like
      * everything else here — any number of concurrent replays read it.
      */
     std::shared_ptr<const sim::CompiledDdg> compiled;

@@ -19,7 +19,6 @@ compileImpl(const uir::Accelerator &accel, const Ddg &ddg)
 {
     CompiledDdg cd;
     cd.design = &accel;
-    cd.source = &ddg;
     const auto &events = ddg.events();
     const auto &invocations = ddg.invocations();
     muir_assert(events.size() < kNoId32,
@@ -123,6 +122,7 @@ compileImpl(const uir::Accelerator &accel, const Ddg &ddg)
                 "compileDdg: %llu deps exceed the 32-bit CSR space",
                 static_cast<unsigned long long>(total_deps));
     cd.deps.resize(total_deps);
+    cd.memDepBits.assign((total_deps + 63) / 64, 0);
     cd.addr.resize(n);
     cd.nodeOf.resize(n);
     cd.invocation.resize(n);
@@ -146,6 +146,10 @@ compileImpl(const uir::Accelerator &accel, const Ddg &ddg)
         cd.depStart[id] = dep_cursor;
         for (uint64_t d : e.deps) {
             muir_assert(d < id, "DDG dep not earlier than event");
+            if (std::find(e.memDeps.begin(), e.memDeps.end(), d) !=
+                e.memDeps.end())
+                cd.memDepBits[dep_cursor >> 6] |= uint64_t(1)
+                                                  << (dep_cursor & 63);
             cd.deps[dep_cursor++] = static_cast<uint32_t>(d);
         }
         cd.addr[id] = e.addr;
@@ -222,6 +226,10 @@ compileImpl(const uir::Accelerator &accel, const Ddg &ddg)
     }
     cd.depStart[n] = dep_cursor;
 
+    cd.invTask.resize(invocations.size());
+    for (size_t i = 0; i < invocations.size(); ++i)
+        cd.invTask[i] = taskIds.at(invocations[i].task);
+
     // ---- dependents CSR (consumer ids ascending per producer) ------
     cd.depdStart.assign(n + 1, 0);
     for (uint32_t k = 0; k < dep_cursor; ++k)
@@ -265,21 +273,12 @@ compileDdg(const uir::Accelerator &accel, const Ddg &ddg)
     return cd;
 }
 
-CompiledDdg
-compileDdg(const uir::Accelerator &accel,
-           std::shared_ptr<const Ddg> ddg)
-{
-    muir_assert(ddg != nullptr, "compileDdg: null Ddg");
-    CompiledDdg cd = compileDdg(accel, *ddg);
-    cd.retained = std::move(ddg);
-    return cd;
-}
-
 size_t
 CompiledDdg::bytes() const
 {
     size_t total = vecBytes(depStart) + vecBytes(deps) +
                    vecBytes(depdStart) + vecBytes(dependents) +
+                   vecBytes(memDepBits) + vecBytes(invTask) +
                    vecBytes(addr) + vecBytes(nodeOf) +
                    vecBytes(invocation) + vecBytes(queueDep) +
                    vecBytes(initSlot) + vecBytes(latency) +

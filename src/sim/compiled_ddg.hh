@@ -25,16 +25,16 @@
  * (sim/run_context.hh). µserve caches one per design and replays it
  * from every worker.
  *
- * Lifetime: the compiled index borrows the Accelerator (node /
- * structure pointers are retained for the trace and profile hooks)
- * and the source Ddg (hang diagnosis and µprof post-processing read
- * it). The shared_ptr overload of compileDdg retains the Ddg; the
- * reference overload requires the caller to keep both alive.
+ * Lifetime: the compiled index is the only form of the record after
+ * compileDdg returns. It carries every fact the replay's consumers
+ * read — hang diagnosis, µprof, µscope — so the executor and its
+ * builder Ddg may be destroyed as soon as it is built. It borrows only
+ * the Accelerator (node / structure / task pointers are retained for
+ * the trace and profile hooks), which must outlive it.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,6 +102,9 @@ struct CompiledDdg
      *  depdStart[e+1]), ascending by consumer id. */
     std::vector<uint32_t> depdStart;
     std::vector<uint32_t> dependents;
+    /** One bit per deps entry: set when that dep exists only to order
+     *  conflicting memory accesses (DynEvent::memDeps). */
+    std::vector<uint64_t> memDepBits;
     /** @} */
 
     /** @name Packed per-event attributes @{ */
@@ -135,6 +138,10 @@ struct CompiledDdg
     std::vector<uint8_t> flags;
     /** @} */
 
+    /** Dense task id of each invocation (the entry event is the one
+     *  flagged kEvEntry). */
+    std::vector<uint16_t> invTask;
+
     /** @name Resolved design tables @{ */
     std::vector<CompiledTask> tasks;
     std::vector<CompiledStruct> structs;
@@ -152,10 +159,13 @@ struct CompiledDdg
     /** Design this index was compiled against (identity-checked by
      *  the reuse paths). */
     const uir::Accelerator *design = nullptr;
-    /** The source record (hang diagnosis, µprof post-processing). */
-    const Ddg *source = nullptr;
-    /** Set by the shared_ptr overload: keeps the source alive. */
-    std::shared_ptr<const Ddg> retained;
+
+    /** Is deps[k] a memory-ordering-only dependency? */
+    bool
+    isMemDep(uint32_t k) const
+    {
+        return (memDepBits[k >> 6] >> (k & 63)) & 1;
+    }
 
     /** Total heap bytes behind the flat arrays (layout accounting). */
     size_t bytes() const;
@@ -164,13 +174,9 @@ struct CompiledDdg
 /**
  * Freeze @p ddg into its replay form. Asserts the Ddg invariant that
  * every dependency references an earlier event. The result borrows
- * @p accel and @p ddg: both must outlive it.
+ * @p accel, which must outlive it; @p ddg may be dropped on return.
  */
 CompiledDdg compileDdg(const uir::Accelerator &accel, const Ddg &ddg);
-
-/** As above, but the compiled index retains the source record. */
-CompiledDdg compileDdg(const uir::Accelerator &accel,
-                       std::shared_ptr<const Ddg> ddg);
 
 /**
  * Heap bytes behind the builder-form record (events, dependency

@@ -250,35 +250,40 @@ FaultInjector::checkLoopStep(int64_t step, const std::string &task) const
 // -------------------------------------------------------------- watchdog
 
 HangDiagnosis
-diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
+diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
              const std::vector<char> &done, uint64_t processed,
              uint64_t dropped_producer, uint64_t dropped_consumer)
 {
     HangDiagnosis diag;
     diag.hung = true;
     diag.scheduled = processed;
-    diag.total = ddg.numEvents();
-    const auto &events = ddg.events();
-    const auto &invs = ddg.invocations();
+    diag.total = cd.numEvents;
+    const uint32_t n = cd.numEvents;
 
     auto taskOf = [&](uint64_t id) {
-        return invs[events[id].invocation].task->name();
+        return cd.tasks[cd.invTask[cd.invocation[id]]].task->name();
     };
     auto nodeOf = [&](uint64_t id) -> std::string {
-        const DynEvent &e = events[id];
-        if (e.node)
-            return e.node->name();
-        return e.isCompletion ? "<completion>" : "<latch>";
+        if (cd.nodeOf[id] != kNoId32)
+            return cd.nodes[cd.nodeOf[id]]->name();
+        return "<completion>";
     };
-    auto edgeKind = [&](const DynEvent &e, uint64_t d) -> std::string {
-        if (d == e.queueDep)
+    auto edgeKind = [&](uint64_t id, uint64_t d) -> std::string {
+        if (cd.queueDep[id] != kNoId32 && d == cd.queueDep[id])
             return "queue";
-        if (std::find(e.memDeps.begin(), e.memDeps.end(), d) !=
-            e.memDeps.end())
-            return "memory";
-        if (e.isEntry)
+        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k)
+            if (cd.deps[k] == d && cd.isMemDep(k))
+                return "memory";
+        if (cd.flags[id] & kEvEntry)
             return "spawn";
         return "data";
+    };
+    // First dependency of @p id (recording order) still unfinished.
+    auto firstPending = [&](uint64_t id) -> uint64_t {
+        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k)
+            if (!done[cd.deps[k]])
+                return cd.deps[k];
+        return kNoEvent;
     };
     auto blockedOn = [&](uint64_t id, uint64_t dep,
                          bool starved) -> HangDiagnosis::BlockedEdge {
@@ -291,7 +296,7 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
         if (dep != kNoEvent) {
             be.depTask = taskOf(dep);
             be.depNode = nodeOf(dep);
-            be.kind = edgeKind(events[id], dep);
+            be.kind = edgeKind(id, dep);
         }
         return be;
     };
@@ -300,40 +305,23 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
     // Starved events first: every dependency completed, yet a token is
     // still missing — the signature of a lost token, and the root cause
     // everything else transitively waits on.
-    for (uint64_t id = 0; id < events.size() &&
-                          diag.blocked.size() < kMaxReported;
+    for (uint64_t id = 0; id < n && diag.blocked.size() < kMaxReported;
          ++id) {
-        if (done[id] || pending[id] == 0)
-            continue;
-        const DynEvent &e = events[id];
-        bool starved = true;
-        for (uint64_t d : e.deps)
-            if (!done[d]) {
-                starved = false;
-                break;
-            }
-        if (!starved)
+        if (done[id] || pending[id] == 0 || firstPending(id) != kNoEvent)
             continue;
         uint64_t culprit = kNoEvent;
         if (id == dropped_consumer)
             culprit = dropped_producer;
-        else if (!e.deps.empty())
-            culprit = e.deps[0];
+        else if (cd.depStart[id + 1] > cd.depStart[id])
+            culprit = cd.deps[cd.depStart[id]];
         diag.blocked.push_back(blockedOn(id, culprit, true));
     }
     // Then a sample of transitively blocked waiters.
-    for (uint64_t id = 0; id < events.size() &&
-                          diag.blocked.size() < kMaxReported;
+    for (uint64_t id = 0; id < n && diag.blocked.size() < kMaxReported;
          ++id) {
         if (done[id] || pending[id] == 0)
             continue;
-        const DynEvent &e = events[id];
-        uint64_t culprit = kNoEvent;
-        for (uint64_t d : e.deps)
-            if (!done[d]) {
-                culprit = d;
-                break;
-            }
+        uint64_t culprit = firstPending(id);
         if (culprit == kNoEvent)
             continue; // Starved: already reported above.
         diag.blocked.push_back(blockedOn(id, culprit, false));
@@ -344,7 +332,7 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
     // walk terminates at a starved event — deadlock here is always
     // starvation, never a circular wait.
     uint64_t cur = kNoEvent;
-    for (uint64_t id = events.size(); id-- > 0;) {
+    for (uint64_t id = n; id-- > 0;) {
         if (!done[id] && pending[id] > 0) {
             cur = id;
             break;
@@ -357,13 +345,7 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
             break;
         }
         diag.waitChain.push_back(cur);
-        uint64_t next = kNoEvent;
-        for (uint64_t d : events[cur].deps)
-            if (!done[d]) {
-                next = d;
-                break;
-            }
-        cur = next;
+        cur = firstPending(cur);
     }
     return diag;
 }
@@ -777,7 +759,8 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     golden_harness.watchdog.maxCycles = spec.maxCycles;
     RunContext golden_ctx;
     golden_ctx.fault = &golden_harness;
-    TimingResult golden = scheduleDdg(accel, exec.ddg(), golden_ctx);
+    TimingResult golden =
+        scheduleDdg(compileDdg(accel, exec.ddg()), golden_ctx);
     if (golden_harness.verdict.hang.tripped()) {
         out.error = "golden (fault-free) run tripped the watchdog:\n" +
                     golden_harness.verdict.hang.render();

@@ -244,7 +244,7 @@ struct FaultHarness
  * scheduler dropped a token (injection), the (producer, consumer)
  * pair pins the root-cause edge exactly.
  */
-HangDiagnosis diagnoseHang(const Ddg &ddg,
+HangDiagnosis diagnoseHang(const CompiledDdg &cd,
                            const std::vector<uint32_t> &pending,
                            const std::vector<char> &done,
                            uint64_t processed,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <sstream>
 
+#include "sim/compiled_ddg.hh"
 #include "sim/timeline.hh"
 
 #include "support/json.hh"
@@ -99,75 +100,76 @@ unionLength(std::vector<std::pair<uint64_t, uint64_t>> &intervals)
 } // namespace
 
 ProfileResult
-buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
-             const ProfileCollector &collector, uint64_t cycles)
+buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
+             uint64_t cycles)
 {
     ProfileResult r;
     r.cycles = cycles;
-    const auto &events = ddg.events();
+    const uint32_t n = cd.numEvents;
     const auto &costs = collector.events;
-    muir_assert(costs.size() == events.size(),
-                "profile: %zu cost records for %zu events", costs.size(),
-                events.size());
+    muir_assert(costs.size() == n, "profile: %zu cost records for %u events",
+                costs.size(), n);
 
-    auto taskProf = [&r](const uir::Task *t) -> TaskProfile & {
+    auto taskProf = [&](uint16_t tid) -> TaskProfile & {
+        const uir::Task *t = cd.tasks[tid].task;
         TaskProfile &tp = r.tasks[t->name()];
         tp.task = t;
         return tp;
     };
 
     // --- Raw roll-up, tile service intervals, edge slack. ---
-    std::map<std::pair<const uir::Task *, uint32_t>,
+    std::map<std::pair<uint16_t, uint32_t>,
              std::vector<std::pair<uint64_t, uint64_t>>>
         tileIntervals;
-    for (uint64_t id = 0; id < events.size(); ++id) {
-        const DynEvent &e = events[id];
+    for (uint32_t id = 0; id < n; ++id) {
         const EventCost &c = costs[id];
-        for (uint64_t d : e.deps) {
-            uint64_t slack = c.ready - costs[d].finish;
+        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k) {
+            uint64_t slack = c.ready - costs[cd.deps[k]].finish;
             unsigned bucket =
                 slack == 0 ? 0u
                            : static_cast<unsigned>(std::bit_width(slack));
             ++r.slackHistogram[bucket];
         }
-        if (e.isCompletion)
+        if (cd.flags[id] & kEvCompletion)
             continue;
-        const uir::Task *task = e.node->parent();
-        TaskProfile &tp = taskProf(task);
+        TaskProfile &tp = taskProf(cd.taskOf[id]);
         ++tp.events;
         StallBreakdown sb = rawStalls(c);
         tp.raw.add(sb);
         r.raw.add(sb);
         if (c.finish > c.start)
-            tileIntervals[{task, c.tile}].push_back({c.start, c.finish});
+            tileIntervals[{cd.taskOf[id], c.tile}].push_back(
+                {c.start, c.finish});
     }
     for (auto &[key, intervals] : tileIntervals)
         taskProf(key.first).tileBusy[key.second] =
             unionLength(intervals);
 
     // --- Queue occupancy: invocations in flight over time. ---
-    std::vector<uint64_t> completionFinish(ddg.invocations().size(), 0);
-    for (uint64_t id = 0; id < events.size(); ++id)
-        if (events[id].isCompletion)
-            completionFinish[events[id].invocation] = costs[id].finish;
-    std::map<const uir::Task *,
-             std::vector<std::pair<uint64_t, int>>>
+    std::vector<uint64_t> completionFinish(cd.numInvocations, 0);
+    std::vector<uint32_t> entryEvent(cd.numInvocations, kNoId32);
+    for (uint32_t id = 0; id < n; ++id) {
+        if (cd.flags[id] & kEvCompletion)
+            completionFinish[cd.invocation[id]] = costs[id].finish;
+        if (cd.flags[id] & kEvEntry)
+            entryEvent[cd.invocation[id]] = id;
+    }
+    std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
         occupancyDeltas;
-    for (uint32_t i = 0; i < ddg.invocations().size(); ++i) {
-        const Invocation &inv = ddg.invocations()[i];
-        TaskProfile &tp = taskProf(inv.task);
+    for (uint32_t i = 0; i < cd.numInvocations; ++i) {
+        TaskProfile &tp = taskProf(cd.invTask[i]);
         ++tp.invocations;
-        if (inv.entryEvent == kNoEvent)
+        if (entryEvent[i] == kNoId32)
             continue;
-        uint64_t enter = costs[inv.entryEvent].ready;
+        uint64_t enter = costs[entryEvent[i]].ready;
         uint64_t leave = std::max(completionFinish[i], enter);
-        auto &deltas = occupancyDeltas[inv.task];
+        auto &deltas = occupancyDeltas[cd.invTask[i]];
         deltas.emplace_back(enter, +1);
         deltas.emplace_back(leave, -1);
     }
-    for (auto &[task, deltas] : occupancyDeltas) {
+    for (auto &[tid, deltas] : occupancyDeltas) {
         std::sort(deltas.begin(), deltas.end());
-        TaskProfile &tp = taskProf(task);
+        TaskProfile &tp = taskProf(tid);
         uint64_t prev = 0;
         int64_t depth = 0;
         for (const auto &[time, delta] : deltas) {
@@ -198,32 +200,32 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
     // each ready time. Each visited event accounts for [ready, finish]
     // exactly once (its predecessor finishes at ready), so the walk
     // partitions [0, cycles] into execute + stall segments.
-    if (!events.empty()) {
+    if (n > 0) {
         uint64_t cur = 0;
-        for (uint64_t id = 1; id < events.size(); ++id)
+        for (uint32_t id = 1; id < n; ++id)
             if (costs[id].finish > costs[cur].finish)
                 cur = id;
         std::map<const uir::Node *, CritPathEntry> perNode;
         while (cur != kNoEvent) {
-            const DynEvent &e = events[cur];
             const EventCost &c = costs[cur];
             uint64_t next = c.critDep;
-            if (!e.isCompletion) {
-                TaskProfile &tp = taskProf(e.node->parent());
-                CritPathEntry &pe = perNode[e.node];
-                pe.node = e.node;
+            if (!(cd.flags[cur] & kEvCompletion)) {
+                const uir::Node *node = cd.nodes[cd.nodeOf[cur]];
+                TaskProfile &tp = taskProf(cd.taskOf[cur]);
+                CritPathEntry &pe = perNode[node];
+                pe.node = node;
                 ++pe.events;
                 uint64_t execute =
                     (c.finish - c.start) - c.missPenalty - c.dramWait;
                 pe.executeCycles += execute;
                 tp.criticalExecute += execute;
                 r.criticalExecute += execute;
-                auto put = [&](StallClass cls, uint64_t n) {
-                    if (!n)
+                auto put = [&](StallClass cls, uint64_t cyc) {
+                    if (!cyc)
                         return;
-                    pe.stalls[cls] += n;
-                    tp.critical[cls] += n;
-                    r.critical[cls] += n;
+                    pe.stalls[cls] += cyc;
+                    tp.critical[cls] += cyc;
+                    r.critical[cls] += cyc;
                 };
                 put(StallClass::TileII, c.iiWait);
                 put(StallClass::Junction, c.junctionWait);
@@ -231,8 +233,8 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
                 put(StallClass::CacheMiss, c.missPenalty);
                 put(StallClass::Dram, c.dramWait);
                 uint64_t covered = c.finish - c.ready;
-                if (c.queueWait > 0 && e.queueDep != kNoEvent &&
-                    c.critDep == e.queueDep) {
+                if (c.queueWait > 0 && cd.queueDep[cur] != kNoId32 &&
+                    c.critDep == cd.queueDep[cur]) {
                     // The queue slot, not the operands, gated dispatch:
                     // charge the gap to QueueFull and resume the walk
                     // at the operand chain.
@@ -262,7 +264,6 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
                       return a.node->id() < b.node->id();
                   });
     }
-    (void)accel;
     return r;
 }
 

@@ -83,7 +83,7 @@ struct StallBreakdown
     StallClass dominant() const;
 };
 
-/** Per-event cost record, parallel to Ddg::events(). */
+/** Per-event cost record, indexed by compiled event id. */
 struct EventCost
 {
     uint64_t ready = 0;
@@ -219,8 +219,8 @@ struct ProfileResult
     std::map<unsigned, uint64_t> slackHistogram;
 };
 
-/** Derive the full profile from one collected run. */
-ProfileResult buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
+/** Derive the full profile from one collected replay of @p cd. */
+ProfileResult buildProfile(const CompiledDdg &cd,
                            const ProfileCollector &collector,
                            uint64_t cycles);
 

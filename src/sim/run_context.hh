@@ -11,7 +11,7 @@
  * concurrently on different threads provided each run has its own
  * RunContext, its own MemoryImage/UirExecutor, and its own result
  * objects. The shared inputs — `uir::Accelerator`, `ir::Module`, and
- * a recorded `Ddg` — are read-only during replay (scheduleDdg and
+ * a `CompiledDdg` — are read-only during replay (scheduleDdg and
  * UirExecutor take them by const reference and the const API
  * genuinely is const: no hidden caches, no lazy mutation), so sharing
  * one design across N concurrent runs needs no locking.

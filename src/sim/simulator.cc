@@ -14,14 +14,9 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     // changes what would be recorded, so the two cannot combine.
     muir_assert(!(options.compiled && options.fault),
                 "simulate: a fault run cannot reuse a compiled DDG");
-    if (options.compiled) {
-        muir_assert(options.compiled->design == &accel,
-                    "simulate: compiled DDG belongs to another design");
-        muir_assert(options.compiled->source,
-                    "simulate: compiled DDG lost its source record");
-    }
-    const bool record = options.compiled == nullptr;
-    UirExecutor exec(accel, mem, /*record_ddg=*/record);
+    muir_assert(!options.compiled || options.compiled->design == &accel,
+                "simulate: compiled DDG belongs to another design");
+    UirExecutor exec(accel, mem, /*record_ddg=*/!options.compiled);
     SimResult result;
     std::unique_ptr<FaultInjector> inj;
     if (options.fault) {
@@ -41,6 +36,20 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
         return result;
     }
     result.firings = exec.firings();
+
+    // Compile unless handed an index. The record is dropped as soon as
+    // its index exists: the replay and every post-processing step
+    // below read only the index.
+    std::shared_ptr<const CompiledDdg> owned;
+    if (!options.compiled) {
+        owned = std::make_shared<const CompiledDdg>(
+            compileDdg(accel, exec.ddg()));
+        exec.takeDdg();
+    }
+    const CompiledDdg &cd = options.compiled ? *options.compiled : *owned;
+    if (options.keepCompiled)
+        result.compiled = owned;
+
     if (options.profile || options.timeline)
         result.profileData = std::make_shared<ProfileCollector>();
     FaultHarness harness;
@@ -54,33 +63,17 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     ctx.hooks.trace = options.trace ? &result.trace : nullptr;
     ctx.hooks.profile = result.profileData.get();
     ctx.fault = use_harness ? &harness : nullptr;
-    TimingResult timing;
-    const Ddg *ddg = nullptr;
-    if (options.compiled) {
-        timing = scheduleDdg(*options.compiled, ctx);
-        ddg = options.compiled->source;
-    } else if (options.keepCompiled) {
-        // Freeze the record behind a shared index the caller can hand
-        // to later runs of the same (design, inputs) pair.
-        auto shared_ddg = std::make_shared<const Ddg>(exec.takeDdg());
-        result.compiled = std::make_shared<const CompiledDdg>(
-            compileDdg(accel, shared_ddg));
-        timing = scheduleDdg(*result.compiled, ctx);
-        ddg = shared_ddg.get();
-    } else {
-        timing = scheduleDdg(accel, exec.ddg(), ctx);
-        ddg = &exec.ddg();
-    }
+    TimingResult timing = scheduleDdg(cd, ctx);
     result.verdict = std::move(harness.verdict);
     result.cycles = timing.cycles;
     result.stats = std::move(timing.stats);
     if (options.profile)
-        result.profile = std::make_shared<ProfileResult>(buildProfile(
-            accel, *ddg, *result.profileData, result.cycles));
+        result.profile = std::make_shared<ProfileResult>(
+            buildProfile(cd, *result.profileData, result.cycles));
     if (options.timeline)
-        result.timeline = std::make_shared<Timeline>(buildTimeline(
-            accel, *ddg, *result.profileData, result.cycles,
-            options.timelineWindows));
+        result.timeline = std::make_shared<Timeline>(
+            buildTimeline(cd, *result.profileData, result.cycles,
+                          options.timelineWindows));
     return result;
 }
 

@@ -45,8 +45,9 @@ struct SimOptions
      * time; handing the compiled one back skips both the recording
      * and the compile. The functional run still happens (outputs /
      * golden checks), just without the record. Must have been
-     * compiled from this accelerator with the source retained;
-     * incompatible with `fault` (an injected run changes the DDG).
+     * compiled from this accelerator; the index alone serves the
+     * replay, µprof, µscope and hang diagnosis. Incompatible with
+     * `fault` (an injected run changes the DDG).
      */
     const CompiledDdg *compiled = nullptr;
     /** Compile the recorded DDG and return it in SimResult::compiled

@@ -4,6 +4,7 @@
 #include <functional>
 #include <sstream>
 
+#include "sim/compiled_ddg.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -72,9 +73,8 @@ binUnion(std::vector<uint64_t> &lane, uint64_t width,
 } // namespace
 
 Timeline
-buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
-              const ProfileCollector &collector, uint64_t cycles,
-              unsigned windows)
+buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
+              uint64_t cycles, unsigned windows)
 {
     Timeline tl;
     tl.cycles = cycles;
@@ -87,21 +87,21 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
                       : 1;
     uint64_t width = tl.windowWidth;
 
-    const auto &events = ddg.events();
+    const uint32_t events = cd.numEvents;
     const auto &costs = collector.events;
-    muir_assert(costs.size() == events.size(),
-                "timeline: %zu cost records for %zu events",
-                costs.size(), events.size());
+    muir_assert(costs.size() == events,
+                "timeline: %zu cost records for %u events", costs.size(),
+                events);
 
     tl.stalls.assign(n, StallBreakdown{});
     tl.eventStarts.assign(n, 0);
     tl.tileBusyCycles.assign(n, 0);
     tl.dramBusyCycles.assign(n, 0);
     tl.dramBytes.assign(n, 0.0);
-    for (const auto &s : accel.structures()) {
-        TimelineStructLane &lane = tl.structures[s->name()];
-        lane.banks = s->banks();
-        lane.portsPerBank = s->portsPerBank();
+    for (const CompiledStruct &cs : cd.structs) {
+        TimelineStructLane &lane = tl.structures[cs.s->name()];
+        lane.banks = cs.s->banks();
+        lane.portsPerBank = cs.portsPerBank;
         lane.busyBeats.assign(n, 0);
     }
 
@@ -120,12 +120,11 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
         }
     };
 
-    std::map<std::pair<const uir::Task *, uint32_t>,
+    std::map<std::pair<uint16_t, uint32_t>,
              std::vector<std::pair<uint64_t, uint64_t>>>
         tileIntervals;
-    for (uint64_t id = 0; id < events.size(); ++id) {
-        const DynEvent &e = events[id];
-        if (e.isCompletion)
+    for (uint32_t id = 0; id < events; ++id) {
+        if (cd.flags[id] & kEvCompletion)
             continue; // μprof's raw roll-up skips completions too.
         const EventCost &c = costs[id];
 
@@ -155,7 +154,7 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
         size_t sw = static_cast<size_t>(c.start / width);
         ++tl.eventStarts[std::min(sw, n - 1)];
         if (c.finish > c.start)
-            tileIntervals[{e.node->parent(), c.tile}].push_back(
+            tileIntervals[{cd.taskOf[id], c.tile}].push_back(
                 {c.start, c.finish});
         if (c.structure) {
             auto it = tl.structures.find(c.structure->name());
@@ -188,26 +187,28 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
 
     // Task-queue occupancy: integrate invocations-in-flight per
     // window (enter at the entry event's ready, leave at completion).
-    std::vector<uint64_t> completionFinish(ddg.invocations().size(), 0);
-    for (uint64_t id = 0; id < events.size(); ++id)
-        if (events[id].isCompletion)
-            completionFinish[events[id].invocation] = costs[id].finish;
-    std::map<const uir::Task *,
-             std::vector<std::pair<uint64_t, int>>>
+    std::vector<uint64_t> completionFinish(cd.numInvocations, 0);
+    std::vector<uint32_t> entryEvent(cd.numInvocations, kNoId32);
+    for (uint32_t id = 0; id < events; ++id) {
+        if (cd.flags[id] & kEvCompletion)
+            completionFinish[cd.invocation[id]] = costs[id].finish;
+        if (cd.flags[id] & kEvEntry)
+            entryEvent[cd.invocation[id]] = id;
+    }
+    std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
         occupancyDeltas;
-    for (uint32_t i = 0; i < ddg.invocations().size(); ++i) {
-        const Invocation &inv = ddg.invocations()[i];
-        if (inv.entryEvent == kNoEvent)
+    for (uint32_t i = 0; i < cd.numInvocations; ++i) {
+        if (entryEvent[i] == kNoId32)
             continue;
-        uint64_t enter = costs[inv.entryEvent].ready;
+        uint64_t enter = costs[entryEvent[i]].ready;
         uint64_t leave = std::max(completionFinish[i], enter);
-        auto &deltas = occupancyDeltas[inv.task];
+        auto &deltas = occupancyDeltas[cd.invTask[i]];
         deltas.emplace_back(enter, +1);
         deltas.emplace_back(leave, -1);
     }
-    for (auto &[task, deltas] : occupancyDeltas) {
+    for (auto &[tid, deltas] : occupancyDeltas) {
         std::sort(deltas.begin(), deltas.end());
-        auto &lane = tl.taskOccupancyCycles[task->name()];
+        auto &lane = tl.taskOccupancyCycles[cd.tasks[tid].task->name()];
         lane.assign(n, 0);
         uint64_t prev = 0;
         int64_t depth = 0;

@@ -95,7 +95,7 @@ struct Timeline
  * Derive the windowed timeline from one profiled run.
  * @param windows Window-count target; 0 = kDefaultTimelineWindows.
  */
-Timeline buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
+Timeline buildTimeline(const CompiledDdg &cd,
                        const ProfileCollector &collector,
                        uint64_t cycles, unsigned windows = 0);
 

@@ -181,38 +181,12 @@ class ReadyQueue
 /**
  * μmeter per-run scratch for the scheduler self-profile. Everything
  * accumulates locally and is flushed to the sink once per run, so the
- * hot loop never takes a registry lock. The skip-ahead analysis
- * tracks the *dispatch frontier* — the latest cycle any node fired —
- * and attributes every span the frontier jumps over (cycles a tick
- * scheduler would burn with nothing to dispatch) to what the next
- * firing was waiting on: an outstanding DRAM fill, queue
- * backpressure, its tile's initiation interval, port arbitration, or
- * plain compute latency on the critical path. Firings are processed
- * in ready order while the frontier tracks start times, so a gap can
- * occasionally straddle an out-of-order dispatch; the totals are an
- * estimate (reported as such), not an exact tick census.
+ * hot loop never takes a registry lock.
  */
 struct MeterState
 {
     std::chrono::steady_clock::time_point t0;
-    /** Last-arriving dependency per event (μprof's critDep, kept
-     *  separately so profiling stays optional). */
-    std::vector<uint64_t> critDep;
-    /** 1 when the event's access went out to DRAM. */
-    std::vector<char> dramTouched;
     metrics::HistogramData queueDepth;
-    metrics::HistogramData gapRuns[metrics::kNumIdleClasses];
-    uint64_t idleCycles[metrics::kNumIdleClasses] = {};
-    /** Latest dispatch cycle seen (cycle 0 assumed occupied). */
-    uint64_t frontier = 0;
-    uint64_t firings = 0;
-
-    void
-    recordGap(metrics::IdleClass c, uint64_t run)
-    {
-        idleCycles[static_cast<unsigned>(c)] += run;
-        gapRuns[static_cast<unsigned>(c)].observe(run);
-    }
 };
 
 } // namespace
@@ -237,8 +211,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
     if (meter) {
         mstate = std::make_unique<MeterState>();
         mstate->t0 = std::chrono::steady_clock::now();
-        mstate->critDep.assign(n, kNoEvent);
-        mstate->dramTouched.assign(n, 0);
     }
 
     // Per-run mutable state: flat, indexed by the compiled ids.
@@ -378,7 +350,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             // In-order initiation per static node per tile.
             uint64_t &nf = initFree[cd.initSlot[id]];
             uint64_t start = std::max(ready, nf);
-            uint64_t ii_start = start;
             if (cost) {
                 cost->tile = cd.tile[id];
                 cost->iiWait = start - ready;
@@ -428,8 +399,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                         ++cache_hits;
                     } else {
                         ++cache_misses;
-                        if (mstate)
-                            mstate->dramTouched[id] = 1;
                         uint64_t xfer = cs.missXfer;
                         uint64_t dram_start =
                             std::max(start + access, dramFree);
@@ -484,38 +453,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             ++taskEvents[cd.taskOf[id]];
             if (start > ready)
                 taskStall[cd.taskOf[id]] += start - ready;
-
-            // Skip-ahead accounting: dispatch-idle cycles between the
-            // frontier and this firing, split at the ready / II /
-            // port-claim boundaries. `frontier + 1` because the
-            // frontier cycle itself dispatched something.
-            if (mstate) {
-                ++mstate->firings;
-                uint64_t base = mstate->frontier + 1;
-                if (ready > base) {
-                    metrics::IdleClass cls = metrics::IdleClass::Other;
-                    uint64_t dep = mstate->critDep[id];
-                    if (dep != kNoEvent) {
-                        if (qd != kNoId32 && dep == qd)
-                            cls = metrics::IdleClass::QueueDrain;
-                        else if (mstate->dramTouched[dep])
-                            cls = metrics::IdleClass::DramReturn;
-                    }
-                    mstate->recordGap(cls, ready - base);
-                    base = ready;
-                }
-                if (start > base) {
-                    uint64_t ii_end = std::max(base, ii_start);
-                    if (ii_end > base)
-                        mstate->recordGap(metrics::IdleClass::TileII,
-                                          ii_end - base);
-                    if (start > ii_end)
-                        mstate->recordGap(metrics::IdleClass::Port,
-                                          start - ii_end);
-                }
-                if (start > mstate->frontier)
-                    mstate->frontier = start;
-            }
         }
 
         if (cost) {
@@ -548,8 +485,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             }
             if (prof && end_time > readyAt[dep_id])
                 prof->events[dep_id].critDep = id;
-            if (mstate && end_time > readyAt[dep_id])
-                mstate->critDep[dep_id] = id;
             readyAt[dep_id] = std::max(readyAt[dep_id], end_time);
             if (--pending[dep_id] == 0)
                 queue.push(dep_id);
@@ -595,10 +530,8 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             diag.total = n;
             diag.budget = fault->watchdog.maxCycles;
         } else if (processed < n) {
-            muir_assert(cd.source,
-                        "timing: hang diagnosis needs the source Ddg");
             fault->verdict.hang = diagnoseHang(
-                *cd.source, pending, done, processed,
+                cd, pending, done, processed,
                 (drop_edge || stuck_valid) ? plan->producer : kNoEvent,
                 (drop_edge || stuck_valid) ? plan->event : kNoEvent);
         } else if (stuck_valid && stuck_fired &&
@@ -634,35 +567,15 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         meter->timerAdd("sim.schedule", wall.count());
         meter->add("sim.runs");
         meter->add("sim.events", processed);
-        meter->add("sim.firings", mstate->firings);
+        meter->add("sim.firings", firings);
         meter->add("sim.cycles", result.cycles);
         meter->add("sim.invocations", cd.numInvocations);
         meter->gaugeMax("sim.ready_queue_peak",
                         mstate->queueDepth.maxValue);
         meter->mergeHistogram("sim.ready_queue_depth",
                               mstate->queueDepth);
-        uint64_t idle_total = 0;
-        for (unsigned c = 0; c < metrics::kNumIdleClasses; ++c) {
-            std::string name = std::string("sim.idle.") +
-                               metrics::idleClassName(
-                                   static_cast<metrics::IdleClass>(c));
-            idle_total += mstate->idleCycles[c];
-            if (mstate->idleCycles[c])
-                meter->add(name + ".cycles", mstate->idleCycles[c]);
-            meter->mergeHistogram(name + ".run_length",
-                                  mstate->gapRuns[c]);
-        }
-        meter->add("sim.idle.total_cycles", idle_total);
     }
     return result;
-}
-
-TimingResult
-scheduleDdg(const uir::Accelerator &accel, const Ddg &ddg,
-            RunContext &ctx)
-{
-    CompiledDdg cd = compileDdg(accel, ddg);
-    return scheduleDdg(cd, ctx);
 }
 
 } // namespace muir::sim

@@ -40,38 +40,20 @@ struct TimingTraceRow
 };
 
 /**
- * Schedule every event of the DDG; returns total cycles + stats.
+ * The scheduler: replay a compiled DDG (sim/compiled_ddg.hh); returns
+ * total cycles + stats. Callers compile a recorded Ddg once with
+ * compileDdg and replay the index as often as they like (µserve, the
+ * perf gate and campaigns replay one index many times).
  *
  * Re-entrant and thread-safe under the RunContext contract
- * (sim/run_context.hh): @p accel and @p ddg are read-only here and
- * may be shared across any number of concurrent calls; @p ctx (and
- * every hook it points to) must be private to this call. All local
- * scheduling state — resource free-lists, cache tags, ready queue —
- * lives on this call's stack.
+ * (sim/run_context.hh): @p compiled is read-only here and may be
+ * shared across any number of concurrent calls, the same contract as
+ * the shared Accelerator; @p ctx (and every hook it points to) must be
+ * private to this call. All local scheduling state — resource
+ * free-lists, cache tags, ready queue — lives on this call's stack.
  *
  * A default RunContext is a plain run; see RunContext for the hook
  * semantics and the bit-identical observational guarantee.
- */
-TimingResult scheduleDdg(const uir::Accelerator &accel, const Ddg &ddg,
-                         RunContext &ctx);
-
-/** Plain run: no hooks, no fault harness. */
-inline TimingResult
-scheduleDdg(const uir::Accelerator &accel, const Ddg &ddg)
-{
-    RunContext ctx;
-    return scheduleDdg(accel, ddg, ctx);
-}
-
-/**
- * The scheduler core: replay a precompiled DDG (sim/compiled_ddg.hh).
- * The (accel, ddg) overloads above are thin wrappers that compile and
- * immediately replay; callers that replay the same record repeatedly
- * (µserve, the perf gate, campaigns) compile once and come here.
- *
- * @p compiled is read-only: one instance may be shared by any number
- * of concurrent calls (each with its own RunContext), the same
- * contract as the shared Accelerator.
  */
 TimingResult scheduleDdg(const CompiledDdg &compiled, RunContext &ctx);
 

@@ -263,19 +263,6 @@ installSink(Registry *registry)
     return g_sink.exchange(registry, std::memory_order_acq_rel);
 }
 
-const char *
-idleClassName(IdleClass c)
-{
-    switch (c) {
-      case IdleClass::DramReturn: return "dram_return";
-      case IdleClass::QueueDrain: return "queue_drain";
-      case IdleClass::TileII: return "tile_ii";
-      case IdleClass::Port: return "port";
-      case IdleClass::Other: return "other";
-    }
-    return "other";
-}
-
 SimSummary
 summarizeSim(const Snapshot &snapshot)
 {
@@ -290,19 +277,6 @@ summarizeSim(const Snapshot &snapshot)
     if (wall_s > 0.0) {
         s.eventsPerSec = static_cast<double>(s.events) / wall_s;
         s.simCyclesPerWallSec = static_cast<double>(s.cycles) / wall_s;
-    }
-    s.idleTotal = snapshot.counter("sim.idle.total_cycles");
-    for (unsigned c = 0; c < kNumIdleClasses; ++c)
-        s.idleByClass[c] = snapshot.counter(
-            std::string("sim.idle.") +
-            idleClassName(static_cast<IdleClass>(c)) + ".cycles");
-    if (s.cycles > 0) {
-        s.idleFraction = static_cast<double>(s.idleTotal) /
-                         static_cast<double>(s.cycles);
-        uint64_t busy = s.cycles > s.idleTotal ? s.cycles - s.idleTotal
-                                               : 1;
-        s.speedupBound = static_cast<double>(s.cycles) /
-                         static_cast<double>(busy);
     }
     return s;
 }
@@ -362,31 +336,6 @@ hostPerfJson(const Snapshot &snapshot, const std::string &workload)
     jw.field("sim_cycles_per_wall_sec", sim.simCyclesPerWallSec);
     jw.beginObject("ready_queue_depth");
     emitPercentiles(jw, snapshot.histogram("sim.ready_queue_depth"));
-    jw.end();
-    jw.beginObject("idle");
-    jw.field("total_cycles", sim.idleTotal);
-    jw.field("fraction", sim.idleFraction);
-    jw.field("projected_speedup_bound", sim.speedupBound);
-    jw.beginArray("classes");
-    for (unsigned c = 0; c < kNumIdleClasses; ++c) {
-        const char *name = idleClassName(static_cast<IdleClass>(c));
-        const HistogramData *runs = snapshot.histogram(
-            std::string("sim.idle.") + name + ".run_length");
-        jw.beginObject();
-        jw.field("class", name);
-        jw.field("cycles", sim.idleByClass[c]);
-        jw.field("share",
-                 sim.idleTotal
-                     ? static_cast<double>(sim.idleByClass[c]) /
-                           static_cast<double>(sim.idleTotal)
-                     : 0.0);
-        jw.field("gaps", runs ? runs->count : 0);
-        jw.field("mean_run", runs ? runs->mean() : 0.0);
-        jw.field("p95_run", runs ? runs->percentile(95.0) : 0);
-        jw.field("max_run", runs && runs->count ? runs->maxValue : 0);
-        jw.end();
-    }
-    jw.end();
     jw.end();
     jw.end();
 
@@ -458,35 +407,6 @@ renderSim(const Snapshot &snapshot)
                       (unsigned long long)depth->percentile(95.0),
                       (unsigned long long)depth->maxValue)});
     os << t.render("simulator self-profile");
-
-    AsciiTable idle({"idle class", "cycles", "share", "gaps",
-                     "mean run", "p95 run", "max run"});
-    for (unsigned c = 0; c < kNumIdleClasses; ++c) {
-        const char *name = idleClassName(static_cast<IdleClass>(c));
-        const HistogramData *runs = snapshot.histogram(
-            std::string("sim.idle.") + name + ".run_length");
-        idle.addRow(
-            {name,
-             fmt("%llu", (unsigned long long)sim.idleByClass[c]),
-             fmt("%5.1f%%",
-                 sim.idleTotal
-                     ? 100.0 * static_cast<double>(sim.idleByClass[c]) /
-                           static_cast<double>(sim.idleTotal)
-                     : 0.0),
-             fmt("%llu", (unsigned long long)(runs ? runs->count : 0)),
-             fmt("%.1f", runs ? runs->mean() : 0.0),
-             fmt("%llu",
-                 (unsigned long long)(runs ? runs->percentile(95.0)
-                                           : 0)),
-             fmt("%llu", (unsigned long long)(
-                             runs && runs->count ? runs->maxValue
-                                                 : 0))});
-    }
-    os << idle.render("skip-ahead opportunity (dispatch-idle cycles)");
-    os << fmt("idle fraction %.1f%% of %llu sim cycles -> projected "
-              "skip-ahead speedup bound %.2fx\n",
-              100.0 * sim.idleFraction,
-              (unsigned long long)sim.cycles, sim.speedupBound);
     return os.str();
 }
 

@@ -3,10 +3,8 @@
  * μmeter — the host-side performance metrics registry. Everything else
  * in the repo measures *simulated* time; this module measures the
  * simulator itself: how many events per wall-second `scheduleDdg`
- * retires, where muirc's wall-clock goes per phase, how busy the μrun
- * worker pool keeps its threads, and — the headline analysis — how
- * much of the schedule is dispatch-idle and why, which quantifies the
- * skip-ahead opportunity the ROADMAP's μsched item targets.
+ * retires, where muirc's wall-clock goes per phase, and how busy the
+ * μrun worker pool keeps its threads.
  *
  * Design constraints, in priority order:
  *
@@ -34,13 +32,11 @@
  *   timers      phase.compile / phase.optimize / phase.simulate
  *               sim.schedule (wall time inside scheduleDdg)
  *   counters    sim.runs, sim.events, sim.firings, sim.cycles,
- *               sim.invocations, sim.idle.total_cycles,
- *               sim.idle.<class>.cycles,
+ *               sim.invocations,
  *               pool.spawns, pool.items, pool.busy_us, pool.idle_us,
  *               pool.worker.<k>.{items,busy_us,idle_us}
  *   gauges      sim.ready_queue_peak, pool.workers (merge = max)
- *   histograms  sim.ready_queue_depth, sim.idle.<class>.run_length,
- *               pool.claim_ns
+ *   histograms  sim.ready_queue_depth, pool.claim_ns
  */
 #pragma once
 
@@ -242,30 +238,6 @@ class ScopedTimer
 
 /** @} */
 
-/**
- * @name Skip-ahead opportunity classification
- * scheduleDdg attributes every cycle the dispatch frontier sits idle
- * to the resource the next event was waiting on. Fixed order — it is
- * the `muir.hostperf.v1` array order.
- * @{
- */
-
-enum class IdleClass : unsigned
-{
-    DramReturn, ///< waiting on an outstanding DRAM line fill
-    QueueDrain, ///< waiting on queue backpressure (the queueDep edge)
-    TileII,     ///< waiting on a tile's initiation interval
-    Port,       ///< waiting on junction/bank port arbitration
-    Other,      ///< compute-latency critical path / completion edges
-};
-
-constexpr unsigned kNumIdleClasses = 5;
-
-/** Stable lowercase name ("dram_return", ...). */
-const char *idleClassName(IdleClass c);
-
-/** @} */
-
 /** Derived per-run scheduler summary the reports and benches share. */
 struct SimSummary
 {
@@ -277,17 +249,6 @@ struct SimSummary
     double scheduleWallMs = 0.0;
     double eventsPerSec = 0.0;
     double simCyclesPerWallSec = 0.0;
-    uint64_t idleTotal = 0;
-    uint64_t idleByClass[kNumIdleClasses] = {};
-    /** Idle dispatch-frontier cycles / total simulated cycles. */
-    double idleFraction = 0.0;
-    /**
-     * Amdahl-style upper bound on what an event-driven skip-ahead
-     * scheduler could gain: cycles / (cycles - idle). An upper bound
-     * because it assumes idle spans cost the same per-cycle as busy
-     * ones and skip-ahead makes them free.
-     */
-    double speedupBound = 0.0;
 };
 
 /** Compute the sim.* summary from a snapshot. */

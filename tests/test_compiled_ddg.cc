@@ -3,10 +3,11 @@
  * CompiledDdg equivalence suite: the frozen struct-of-arrays replay
  * index (sim/compiled_ddg.hh) must be a faithful re-encoding of the
  * builder-form Ddg — same adjacency in both CSR directions, same
- * per-event attributes, and bit-identical replay results — on every
- * baseline design. The Parallel suite exercises the shared-replay
- * contract (one immutable index, many concurrent RunContexts) under
- * TSan in CI.
+ * per-event attributes — on every baseline design, and it must stand
+ * alone: an index whose executor and record are gone replays, profiles
+ * and diagnoses hangs exactly like a direct run. The Parallel suite
+ * exercises the shared-replay contract (one immutable index, many
+ * concurrent RunContexts) under TSan in CI.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "sim/compiled_ddg.hh"
 #include "support/logging.hh"
 #include "sim/exec.hh"
+#include "sim/simulator.hh"
 #include "sim/timing.hh"
 #include "workloads/driver.hh"
 #include "workloads/workload.hh"
@@ -68,19 +70,38 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
         ASSERT_EQ(cd.depStart.size(), cd.numEvents + 1) << name;
         ASSERT_EQ(cd.depdStart.size(), cd.numEvents + 1) << name;
         EXPECT_EQ(cd.design, r.accel.get()) << name;
-        EXPECT_EQ(cd.source, &ddg) << name;
         EXPECT_GT(cd.bytes(), 0u) << name;
         EXPECT_GT(sim::ddgBytes(ddg), 0u) << name;
 
-        // Forward CSR: exact dependency lists, in recording order.
+        // Forward CSR: exact dependency lists, in recording order,
+        // with the memory-only bit set exactly on the memDeps entries.
         for (uint32_t e = 0; e < cd.numEvents; ++e) {
             const auto &deps = ddg.events()[e].deps;
+            const auto &mem = ddg.events()[e].memDeps;
             ASSERT_EQ(cd.depStart[e + 1] - cd.depStart[e],
                       deps.size())
                 << name << " event " << e;
-            for (size_t i = 0; i < deps.size(); ++i)
-                ASSERT_EQ(cd.deps[cd.depStart[e] + i], deps[i])
+            for (size_t i = 0; i < deps.size(); ++i) {
+                uint32_t k = cd.depStart[e] + static_cast<uint32_t>(i);
+                ASSERT_EQ(cd.deps[k], deps[i])
                     << name << " event " << e << " dep " << i;
+                ASSERT_EQ(cd.isMemDep(k),
+                          std::find(mem.begin(), mem.end(), deps[i]) !=
+                              mem.end())
+                    << name << " event " << e << " dep " << i;
+            }
+        }
+
+        // Per-invocation task, and the entry event the kEvEntry flag
+        // marks.
+        ASSERT_EQ(cd.invTask.size(), cd.numInvocations) << name;
+        for (uint32_t i = 0; i < cd.numInvocations; ++i) {
+            const sim::Invocation &inv = ddg.invocations()[i];
+            ASSERT_EQ(cd.tasks[cd.invTask[i]].task, inv.task) << name;
+            if (inv.entryEvent != sim::kNoEvent) {
+                ASSERT_TRUE(cd.flags[inv.entryEvent] & sim::kEvEntry)
+                    << name << " invocation " << i;
+            }
         }
 
         // Reverse CSR: one entry per forward edge, each producer's
@@ -170,41 +191,98 @@ TEST(CompiledDdgDeath, ForwardDependencyTripsTheFreezeAssert)
 
 // ------------------------------------------------- replay equivalence
 
-TEST(CompiledDdg, ReplayBitIdenticalToBuilderPath)
+TEST(CompiledDdg, StandsAloneAfterItsRecordIsDestroyed)
 {
+    // The index is built from an executor that is then destroyed with
+    // its Ddg. Replaying the orphaned index — with every observer on,
+    // and under a token-loss fault — must reproduce a direct run.
     for (const std::string name :
          {"gemm", "saxpy", "fib", "spmv", "stencil"}) {
-        Recorded r = record(name);
-        sim::CompiledDdg cd = sim::compileDdg(*r.accel, r.ddg());
+        setVerbose(false);
+        workloads::Workload w = workloads::buildWorkload(name);
+        auto accel = workloads::lowerBaseline(w);
 
-        std::vector<sim::TimingTraceRow> builder_rows, compiled_rows;
-        sim::RunContext builder_ctx;
-        builder_ctx.hooks.trace = &builder_rows;
-        sim::TimingResult builder =
-            sim::scheduleDdg(*r.accel, r.ddg(), builder_ctx);
-        sim::RunContext compiled_ctx;
-        compiled_ctx.hooks.trace = &compiled_rows;
-        sim::TimingResult compiled = sim::scheduleDdg(cd, compiled_ctx);
-
-        EXPECT_EQ(builder.cycles, compiled.cycles) << name;
-        EXPECT_EQ(builder.stats.toJson(), compiled.stats.toJson())
-            << name;
-        ASSERT_EQ(builder_rows.size(), compiled_rows.size()) << name;
-        for (size_t i = 0; i < builder_rows.size(); ++i) {
-            ASSERT_EQ(builder_rows[i].event, compiled_rows[i].event)
-                << name << " row " << i;
-            ASSERT_EQ(builder_rows[i].node, compiled_rows[i].node)
-                << name << " row " << i;
-            ASSERT_EQ(builder_rows[i].invocation,
-                      compiled_rows[i].invocation)
-                << name << " row " << i;
-            ASSERT_EQ(builder_rows[i].ready, compiled_rows[i].ready)
-                << name << " row " << i;
-            ASSERT_EQ(builder_rows[i].start, compiled_rows[i].start)
-                << name << " row " << i;
-            ASSERT_EQ(builder_rows[i].finish, compiled_rows[i].finish)
-                << name << " row " << i;
+        std::unique_ptr<const sim::CompiledDdg> cd;
+        {
+            ir::MemoryImage mem(*w.module);
+            w.bind(mem);
+            sim::UirExecutor exec(*accel, mem);
+            exec.run({});
+            cd = std::make_unique<const sim::CompiledDdg>(
+                sim::compileDdg(*accel, exec.ddg()));
         }
+
+        sim::SimOptions observe;
+        observe.profile = true;
+        observe.timeline = true;
+        observe.trace = true;
+        ir::MemoryImage direct_mem(*w.module);
+        w.bind(direct_mem);
+        sim::SimResult direct =
+            sim::simulate(*accel, direct_mem, {}, observe);
+        observe.compiled = cd.get();
+        ir::MemoryImage replay_mem(*w.module);
+        w.bind(replay_mem);
+        sim::SimResult replay =
+            sim::simulate(*accel, replay_mem, {}, observe);
+
+        EXPECT_EQ(direct.cycles, replay.cycles) << name;
+        EXPECT_EQ(direct.stats.toJson(), replay.stats.toJson()) << name;
+        ASSERT_EQ(direct.trace.size(), replay.trace.size()) << name;
+        for (size_t i = 0; i < direct.trace.size(); ++i) {
+            const sim::TimingTraceRow &a = direct.trace[i];
+            const sim::TimingTraceRow &b = replay.trace[i];
+            ASSERT_EQ(a.event, b.event) << name << " row " << i;
+            ASSERT_EQ(a.node, b.node) << name << " row " << i;
+            ASSERT_EQ(a.invocation, b.invocation) << name << " row " << i;
+            ASSERT_EQ(a.ready, b.ready) << name << " row " << i;
+            ASSERT_EQ(a.start, b.start) << name << " row " << i;
+            ASSERT_EQ(a.finish, b.finish) << name << " row " << i;
+        }
+        EXPECT_EQ(sim::profileJson(*direct.profile),
+                  sim::profileJson(*replay.profile))
+            << name;
+        EXPECT_EQ(sim::timelineJson(*direct.timeline),
+                  sim::timelineJson(*replay.timeline))
+            << name;
+        EXPECT_EQ(sim::chromeTraceJson(direct.trace, *direct.profileData,
+                                       direct.timeline.get()),
+                  sim::chromeTraceJson(replay.trace, *replay.profileData,
+                                       replay.timeline.get()))
+            << name;
+
+        // Drop the first token into a mid-graph event: the orphaned
+        // index must hang with the same diagnosis a direct run renders.
+        sim::FaultPlan plan;
+        plan.kind = sim::FaultKind::TokenDrop;
+        for (uint32_t e = cd->numEvents / 2; e < cd->numEvents; ++e)
+            if (cd->depStart[e + 1] > cd->depStart[e]) {
+                plan.event = e;
+                plan.producer = cd->deps[cd->depStart[e]];
+                break;
+            }
+        ASSERT_NE(plan.event, sim::kNoEvent) << name;
+        sim::FaultHarness harness;
+        harness.plan = &plan;
+        harness.watchdog.enabled = true;
+        sim::RunContext ctx;
+        ctx.fault = &harness;
+        sim::TimingResult faulted = sim::scheduleDdg(*cd, ctx);
+
+        sim::SimOptions inject;
+        inject.fault = &plan;
+        inject.watchdog = true;
+        ir::MemoryImage fault_mem(*w.module);
+        w.bind(fault_mem);
+        sim::SimResult direct_fault =
+            sim::simulate(*accel, fault_mem, {}, inject);
+        ASSERT_TRUE(harness.verdict.hang.tripped()) << name;
+        EXPECT_EQ(faulted.cycles, direct_fault.cycles) << name;
+        EXPECT_EQ(faulted.stats.toJson(), direct_fault.stats.toJson())
+            << name;
+        EXPECT_EQ(harness.verdict.hang.render(),
+                  direct_fault.verdict.hang.render())
+            << name;
     }
 }
 

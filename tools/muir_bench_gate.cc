@@ -51,7 +51,7 @@ usage(FILE *out)
         "                        hostperf goldens file\n"
         "  --wall-budget <pct>   also check each cell's median wall\n"
         "                        time against the hostperf goldens,\n"
-        "                        tolerating +pct%% (generous bands\n"
+        "                        tolerating +pct% (generous bands\n"
         "                        recommended: wall time is machine-\n"
         "                        dependent)\n"
         "exit status: 0 pass, 1 regression, 2 usage/input error\n",

@@ -584,7 +584,7 @@ usage(FILE *out)
                "  --wall-tolerance <pct>  band for the µmeter hostperf "
                "section: wall-clock or\n"
                "                          events/sec swings beyond "
-               "±pct%% count as a diff\n"
+               "±pct% count as a diff\n"
                "                          (default 50; host numbers "
                "are noisy)\n"
                "exit status: 0 identical, 1 differ, 2 usage/input "

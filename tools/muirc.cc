@@ -94,7 +94,7 @@ usage()
         "                        (graph, passes, cycles, stats, profile)\n"
         "  --host-metrics <s>    µmeter: print host-side performance\n"
         "                        metrics — wall-clock phases, simulator\n"
-        "                        events/sec, skip-ahead opportunity;\n"
+        "                        events/sec, worker-pool use;\n"
         "                        section: all, phases, pool, sim\n"
         "  --metrics-json <file> write host metrics as JSON\n"
         "                        (muir.hostperf.v1 schema; also embedded\n"
