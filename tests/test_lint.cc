@@ -8,9 +8,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "frontend/lower.hh"
-#include "ir/builder.hh"
-#include "ir/verifier.hh"
+#include "race_fixtures.hh"
 #include "sim/conflict.hh"
 #include "sim/exec.hh"
 #include "uir/lint/lint.hh"
@@ -79,40 +77,6 @@ struct MicroGraph
         sum->addInput(b);
         out = task->addLiveOut(ir::Type::i32(), "out");
         out->addInput(sum);
-    }
-};
-
-/**
- * A Cilk-style parallel loop, lowered through the real front end:
- * every iteration loads in[i] and stores it to out[same_slot ? 0 : i].
- * same_slot=true is a textbook determinacy race.
- */
-struct SpawnKernel
-{
-    ir::Module m{"spawnk"};
-    ir::GlobalArray *in, *out;
-    int n;
-
-    SpawnKernel(int elems, bool same_slot) : n(elems)
-    {
-        in = m.addGlobal("in", ir::Type::i32(), elems);
-        out = m.addGlobal("out", ir::Type::i32(), elems);
-        ir::Function *fn = m.addFunction("spawnk", ir::Type::voidTy());
-        ir::IRBuilder b(m);
-        b.setInsertPoint(fn->addBlock("entry"));
-        ir::ForLoop loop(b, "i", b.i32(0), b.i32(elems), b.i32(1),
-                         /*parallel=*/true);
-        ir::Value *v = b.load(b.gep(in, loop.iv()), "v");
-        ir::Value *slot = same_slot ? b.i32(0) : loop.iv();
-        b.store(v, b.gep(out, slot));
-        loop.finish();
-        b.ret();
-        ir::verifyOrDie(m);
-    }
-
-    std::unique_ptr<Accelerator> lower()
-    {
-        return frontend::lowerToUir(m, "spawnk", {});
     }
 };
 
@@ -326,10 +290,7 @@ TEST(LintRace, ConflictObserverConfirmsStaticRace)
     // The dynamic side: replay the graph and look for overlapping
     // accesses ordered only by the memory system.
     ir::MemoryImage mem(k.m);
-    std::vector<int32_t> data(k.n);
-    for (int i = 0; i < k.n; ++i)
-        data[i] = i + 1;
-    mem.writeInts(k.in, data);
+    k.bind(mem);
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
     auto conflicts = sim::findConflicts(exec.ddg());
@@ -349,10 +310,7 @@ TEST(LintRace, ConflictObserverAgreesBaselineIsClean)
     EXPECT_EQ(findCheck(lintAll(*accel), "R001"), nullptr);
 
     ir::MemoryImage mem(k.m);
-    std::vector<int32_t> data(k.n);
-    for (int i = 0; i < k.n; ++i)
-        data[i] = i + 1;
-    mem.writeInts(k.in, data);
+    k.bind(mem);
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
     EXPECT_TRUE(sim::findConflicts(exec.ddg()).empty());

@@ -3,8 +3,9 @@
  * Output pins: byte-level fingerprints of every observability surface
  * that post-processes a replay — the μprof profile JSON, the μscope
  * timeline JSON and the Perfetto trace JSON on all 21 baselines, the
- * μfit campaign JSON for the handshake, control and DRAM fault kinds,
- * and the rendered hang diagnosis of a pinned token loss.
+ * μfit campaign JSON for every fault kind and the mix, the rendered
+ * hang diagnosis of a pinned token loss, and the dynamic conflict
+ * observer's findings on the μlint race fixtures.
  *
  * Each surface is hashed (FNV-1a, 64 bit) and compared against a
  * fixed table. A refactor of the DDG representation or of the replay
@@ -25,9 +26,13 @@
 #include <map>
 #include <string>
 
+#include "race_fixtures.hh"
+#include "sim/conflict.hh"
+#include "sim/exec.hh"
 #include "sim/fault.hh"
 #include "sim/simulator.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 #include "workloads/driver.hh"
 
 namespace muir
@@ -78,18 +83,24 @@ pinnedHashes()
         {"fft.profile", 0x2635556a0ef994dcull},
         {"fft.timeline", 0x0fa005078a8df20full},
         {"fft.trace", 0x99e3ed933143c6a7ull},
+        {"fib.dataflip", 0x6dd44f2fce2a4e71ull},
         {"fib.dramtimeout", 0x43d3745b3ef1b3d9ull},
         {"fib.lostspawn", 0x27807400b016b289ull},
         {"fib.lostsync", 0xe872335d5a848c4aull},
+        {"fib.memflip", 0xa4e839061df67981ull},
+        {"fib.mix", 0xd0893757957678e6ull},
         {"fib.profile", 0x46ea3393f003f07eull},
         {"fib.stuckvalid", 0x5175fca6d484070dull},
         {"fib.timeline", 0xa271fbb2b1795609ull},
         {"fib.tokendrop", 0x0bc593595cc17379ull},
         {"fib.tokendup", 0xc85432e584b300e0ull},
         {"fib.trace", 0x47d749662aad6a88ull},
+        {"gemm.dataflip", 0x7cfb882df0d7ac76ull},
         {"gemm.dramtimeout", 0xbac89875308463ecull},
         {"gemm.lostspawn", 0xfe666881849812d7ull},
         {"gemm.lostsync", 0x1927ca67c0838937ull},
+        {"gemm.memflip", 0xb4bf40d3f9b847b0ull},
+        {"gemm.mix", 0x3455c217b4cb02f7ull},
         {"gemm.profile", 0x3a1e35f2f96d1432ull},
         {"gemm.stuckvalid", 0x7c5449aabb88aadeull},
         {"gemm.timeline", 0x8d2f73eae9cafc42ull},
@@ -102,6 +113,8 @@ pinnedHashes()
         {"msort.profile", 0xc68f1b58dd8597c0ull},
         {"msort.timeline", 0x5a5e5613c8d920c6ull},
         {"msort.trace", 0x58700affc2e13529ull},
+        {"race.private_slot.conflicts", 0xcbf29ce484222325ull},
+        {"race.same_slot.conflicts", 0xed1290d8cb1784fbull},
         {"relu.profile", 0x07636ad6c6be1eceull},
         {"relu.timeline", 0x2c7004a9aaaa3918ull},
         {"relu.trace", 0x17bdf369c928a75cull},
@@ -111,9 +124,12 @@ pinnedHashes()
         {"rgb2yuv.profile", 0x500d9053259ce241ull},
         {"rgb2yuv.timeline", 0x92691069e7c1015cull},
         {"rgb2yuv.trace", 0xaf171e1a390219deull},
+        {"saxpy.dataflip", 0x367ee9a039843d6bull},
         {"saxpy.dramtimeout", 0xd4cb0c9484aab776ull},
         {"saxpy.lostspawn", 0x98b669ebac551df4ull},
         {"saxpy.lostsync", 0x1458d298043fcf12ull},
+        {"saxpy.memflip", 0x27200e0e9472409aull},
+        {"saxpy.mix", 0x24c575bfcf2b594cull},
         {"saxpy.profile", 0x5a21bc89a3d1020aull},
         {"saxpy.stuckvalid", 0x550fa17130927abbull},
         {"saxpy.timeline", 0x75b1718393a04c34ull},
@@ -221,7 +237,7 @@ TEST(OutputPins, CampaignJsonPerFaultKind)
         auto accel = workloads::lowerBaseline(w);
         for (const std::string kind :
              {"tokendrop", "tokendup", "stuckvalid", "lostspawn",
-              "lostsync", "dramtimeout"}) {
+              "lostsync", "dramtimeout", "dataflip", "memflip", "mix"}) {
             sim::CampaignResult r = campaign(w, *accel, kind, 6, 11);
             expectPinned(name + "." + kind,
                          r.error + r.toJson(name, kind, 6, 11));
@@ -247,6 +263,30 @@ TEST(OutputPins, PinnedTokenLossHangDiagnosis)
     sim::SimResult sim = sim::simulate(*accel, mem, {}, opts);
     ASSERT_TRUE(sim.verdict.hang.tripped());
     expectPinned("saxpy.tokendrop.diagnosis", sim.verdict.hang.render());
+}
+
+TEST(OutputPins, ConflictsOnRaceFixtures)
+{
+    setVerbose(false);
+    for (bool same_slot : {true, false}) {
+        SpawnKernel k(8, same_slot);
+        auto accel = k.lower();
+        ir::MemoryImage mem(k.m);
+        k.bind(mem);
+        sim::UirExecutor exec(*accel, mem);
+        exec.run({});
+        std::string text;
+        for (const sim::MemConflict &c : sim::findConflicts(exec.ddg()))
+            text += fmt("%llu %llu %s %s 0x%llx\n",
+                        static_cast<unsigned long long>(c.first),
+                        static_cast<unsigned long long>(c.second),
+                        c.firstNode->name().c_str(),
+                        c.secondNode->name().c_str(),
+                        static_cast<unsigned long long>(c.addr));
+        expectPinned(same_slot ? "race.same_slot.conflicts"
+                               : "race.private_slot.conflicts",
+                     text);
+    }
 }
 
 } // namespace muir
