@@ -100,7 +100,7 @@ BM_CycleSimulation(benchmark::State &state)
         benchmark::DoNotOptimize(timing.cycles);
     }
     state.SetItemsProcessed(state.iterations() *
-                            exec.ddg().numEvents());
+                            exec.ddg().numEvents);
 }
 BENCHMARK(BM_CycleSimulation);
 
@@ -119,7 +119,7 @@ BM_CompileDdg(benchmark::State &state)
         benchmark::DoNotOptimize(compiled.numEvents);
     }
     state.SetItemsProcessed(state.iterations() *
-                            exec.ddg().numEvents());
+                            exec.ddg().numEvents);
 }
 BENCHMARK(BM_CompileDdg);
 
@@ -169,11 +169,12 @@ BM_FirrtlElaboration(benchmark::State &state)
 BENCHMARK(BM_FirrtlElaboration);
 
 /**
- * Machine-readable scheduler-throughput rows: the builder-layout path
- * (compile + replay per run, the pre-compiled-DDG world) against the
- * shared compiled-index replay, on the largest recorded graph (gemm).
- * Emitted as BENCH_framework_microbench.json so the memory-layout win
- * is visible in regression diffs independently of the perf gate.
+ * Machine-readable scheduler-throughput rows: compile + replay per run
+ * from the recorded DDG against the shared compiled-index replay, on
+ * the largest recorded graph (gemm), with the bytes/event of the
+ * record and of the index. Emitted as BENCH_framework_microbench.json
+ * so layout changes are visible in regression diffs independently of
+ * the perf gate.
  */
 void
 writeSchedulerThroughput()
@@ -188,7 +189,7 @@ writeSchedulerThroughput()
     exec.run({});
     const sim::Ddg &ddg = exec.ddg();
     auto compiled = sim::compileDdg(*accel, ddg);
-    const double events = double(ddg.numEvents());
+    const double events = double(ddg.numEvents);
 
     // Best-of-N wall seconds: the minimum is the least-noisy estimator
     // for a CPU-bound loop on a shared CI box.

@@ -131,7 +131,7 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
                               /*record_ddg=*/true);
         exec.run({});
         design->compiled = std::make_shared<const sim::CompiledDdg>(
-            sim::compileDdg(*design->accel, exec.ddg()));
+            sim::compileDdg(*design->accel, exec.takeDdg()));
     }
     return design;
 }

@@ -16,24 +16,22 @@ namespace
  * visits ids in (to, from], pruning anything below the target.
  */
 bool
-happensBefore(const std::vector<DynEvent> &events, uint64_t to,
-              uint64_t from)
+happensBefore(const Ddg &ddg, uint32_t to, uint32_t from)
 {
-    std::vector<uint64_t> stack{from};
-    std::set<uint64_t> seen;
+    std::vector<uint32_t> stack{from};
+    std::set<uint32_t> seen;
     while (!stack.empty()) {
-        uint64_t id = stack.back();
+        uint32_t id = stack.back();
         stack.pop_back();
         if (id == to)
             return true;
         if (id < to || !seen.insert(id).second)
             continue;
-        const DynEvent &e = events[id];
-        for (uint64_t d : e.deps) {
-            if (std::find(e.memDeps.begin(), e.memDeps.end(), d) !=
-                e.memDeps.end())
+        for (uint32_t k = ddg.depStart[id]; k < ddg.depStart[id + 1];
+             ++k) {
+            if (ddg.isMemDep(k))
                 continue; // Ordered only by the memory system.
-            stack.push_back(d);
+            stack.push_back(ddg.deps[k]);
         }
     }
     return false;
@@ -45,37 +43,36 @@ std::vector<MemConflict>
 findConflicts(const Ddg &ddg, size_t max_conflicts)
 {
     std::vector<MemConflict> conflicts;
-    const auto &events = ddg.events();
+    auto isStore = [&](uint32_t id) { return ddg.flags[id] & kEvStore; };
 
     // Accesses per 4-byte word, in record order.
-    std::map<uint64_t, std::vector<uint64_t>> by_word;
-    for (uint64_t id = 0; id < events.size(); ++id) {
-        const DynEvent &e = events[id];
-        if (!e.isLoad && !e.isStore)
+    std::map<uint64_t, std::vector<uint32_t>> by_word;
+    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
+        if (!(ddg.flags[id] & (kEvLoad | kEvStore)))
             continue;
-        for (unsigned w = 0; w < std::max<unsigned>(1, e.words); ++w)
-            by_word[(e.addr & ~uint64_t(3)) + w * 4].push_back(id);
+        for (unsigned w = 0; w < std::max<unsigned>(1, ddg.words[id]); ++w)
+            by_word[(ddg.addr[id] & ~uint64_t(3)) + w * 4].push_back(id);
     }
 
-    std::set<std::pair<uint64_t, uint64_t>> reported;
+    std::set<std::pair<uint32_t, uint32_t>> reported;
     for (const auto &[word, ids] : by_word) {
         for (size_t i = 0;
              i < ids.size() && conflicts.size() < max_conflicts; ++i) {
             for (size_t j = i + 1;
                  j < ids.size() && conflicts.size() < max_conflicts;
                  ++j) {
-                uint64_t a = ids[i], b = ids[j];
-                if (!events[a].isStore && !events[b].isStore)
+                uint32_t a = ids[i], b = ids[j];
+                if (!isStore(a) && !isStore(b))
                     continue;
                 if (!reported.emplace(a, b).second)
                     continue;
-                if (happensBefore(events, a, b))
+                if (happensBefore(ddg, a, b))
                     continue;
                 MemConflict c;
                 c.first = a;
                 c.second = b;
-                c.firstNode = events[a].node;
-                c.secondNode = events[b].node;
+                c.firstNode = ddg.nodes[ddg.nodeOf[a]];
+                c.secondNode = ddg.nodes[ddg.nodeOf[b]];
                 c.addr = word;
                 conflicts.push_back(c);
             }

@@ -5,11 +5,14 @@
  *
  * The executor records every dynamic memory access and every
  * dependence that orders events — data edges, spawn/sync edges, queue
- * backpressure — plus, separately, the RAW/WAW/WAR edges it adds just
- * to keep conflicting accesses in program order (DynEvent::memDeps).
- * Real hardware provides no such ordering for free: two overlapping
+ * backpressure — plus the RAW/WAW/WAR edges it adds just to keep
+ * conflicting accesses in program order, each flagged by its
+ * memory-only bit in the record's dep CSR (Ddg::memDepBits). Real
+ * hardware provides no such ordering for free: two overlapping
  * accesses (at least one a store) whose only ordering is a memory
  * edge are a data race the microarchitecture may resolve either way.
+ * The scan reads only the record's columns, so it runs on a Ddg or on
+ * the CompiledDdg that extends one.
  */
 #pragma once
 

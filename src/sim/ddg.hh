@@ -5,13 +5,22 @@
  * loop-carried, spawn/sync, and memory (RAW/WAW/WAR) dependencies.
  * The timing scheduler replays it under structural constraints.
  *
+ * The record is flat and columnar: a CSR of 32-bit deps with one
+ * memory-only bit per entry, one column per event attribute, and one
+ * per invocation attribute. The executor appends to it directly, and
+ * compileDdg (sim/compiled_ddg.hh) takes the columns over as they are,
+ * adding only the dependents CSR and the design-resolved columns, so a
+ * DDG exists in this one form.
+ *
  * Invariant: every dependency references an earlier event id, so a
  * single linear pass in id order is a valid topological schedule.
+ * append() asserts it.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "uir/accelerator.hh"
@@ -19,78 +28,118 @@
 namespace muir::sim
 {
 
-/** Sentinel for "no event". */
+/** Sentinel for "no event" in the executor's 64-bit event slots. */
 inline constexpr uint64_t kNoEvent = ~uint64_t(0);
+/** Sentinel for "no entry" in the 32-bit id columns. */
+inline constexpr uint32_t kNoId32 = ~uint32_t(0);
+/** Sentinel for "no entry" in the 16-bit id columns. */
+inline constexpr uint16_t kNoId16 = uint16_t(0xFFFF);
+/** Ddg::append's mem_from when no dep is memory-only. */
+inline constexpr size_t kNoMemDeps = ~size_t(0);
 
-/** One dynamic task invocation. */
-struct Invocation
+/** Ddg::flags bits. */
+enum : uint8_t
 {
-    const uir::Task *task = nullptr;
-    /** Invocation sequence number within the task (for tile RR). */
-    uint64_t seqInTask = 0;
-    /** First event of the invocation (gated by queue backpressure). */
-    uint64_t entryEvent = kNoEvent;
+    kEvLoad = 1u << 0,
+    kEvStore = 1u << 1,
+    /** First non-completion event of its invocation (the one gated by
+     *  queue backpressure). */
+    kEvEntry = 1u << 2,
+    /** Synthetic event: an invocation's completion or a loop's
+     *  carried-value latch. It has no node. */
+    kEvCompletion = 1u << 3,
+    /** Multi-word access straddles a cache line (second tag probe).
+     *  Set by compileDdg, which knows the line size. */
+    kEvStraddle = 1u << 4,
 };
 
-/** One dynamic node firing. */
-struct DynEvent
+/** The whole execution record, one column per attribute. */
+struct Ddg
 {
-    /** Static node; nullptr for synthetic completion events. */
-    const uir::Node *node = nullptr;
-    /** Index into Ddg::invocations. */
-    uint32_t invocation = 0;
-    /** Memory access descriptor (isLoad/isStore only). */
-    uint64_t addr = 0;
-    uint16_t words = 0;
-    bool isLoad = false;
-    bool isStore = false;
-    /** True for the first event of its invocation. */
-    bool isEntry = false;
-    /** Synthetic invocation-completion marker. */
-    bool isCompletion = false;
-    /** For ChildCall dispatch events: the created invocation. */
-    uint32_t calleeInv = ~uint32_t(0);
+    /** @name Dependency CSR @{ */
+    /** deps of event e: deps[depStart[e] .. depStart[e+1]), in
+     *  recording order. */
+    std::vector<uint32_t> depStart{0};
+    std::vector<uint32_t> deps;
     /**
-     * When dispatch stalled on a full task queue, the dep (also
-     * present in deps) that frees the queue slot — the completion of
-     * invocation seq - queueDepth·tiles. μprof uses it to attribute
-     * "queue full" wait cycles separately from operand waits.
-     */
-    uint64_t queueDep = kNoEvent;
-    /** Dependencies: earlier event ids. */
-    std::vector<uint64_t> deps;
-    /**
-     * The subset of deps that exist only to order conflicting memory
-     * accesses (RAW/WAW/WAR). The conflict observer computes
-     * happens-before over deps minus memDeps: two overlapping
+     * One bit per deps entry: set when that dep exists only to order
+     * conflicting memory accesses (RAW/WAW/WAR). The conflict observer
+     * computes happens-before over the other deps: two overlapping
      * accesses ordered by nothing but a memory edge are a dynamic
      * race — the hardware provides no such ordering for free.
      */
-    std::vector<uint64_t> memDeps;
-};
+    std::vector<uint64_t> memDepBits;
+    /** @} */
 
-/** The whole execution record. */
-class Ddg
-{
-  public:
-    /** Begin a new invocation of a task; returns its index. */
-    uint32_t beginInvocation(const uir::Task *task);
+    /** @name Per-event columns @{ */
+    /** Memory access descriptor (loads and stores only; 0 elsewhere). */
+    std::vector<uint64_t> addr;
+    std::vector<uint16_t> words;
+    std::vector<uint8_t> flags;
+    /**
+     * When dispatch stalled on a full task queue, the dep (also
+     * present in deps) that frees the queue slot — the completion of
+     * invocation seq - queueDepth·tiles; kNoId32 otherwise. μprof uses
+     * it to attribute "queue full" wait cycles separately from operand
+     * waits.
+     */
+    std::vector<uint32_t> queueDep;
+    std::vector<uint32_t> invocation;
+    /** Dense node id (index into nodes); kNoId32 for completions. */
+    std::vector<uint32_t> nodeOf;
+    /** @} */
 
-    /** Append an event; returns its id. */
-    uint64_t addEvent(DynEvent event);
+    /** @name Per-invocation columns @{ */
+    /** Task id (uir::Task::id(), its index in Accelerator::tasks()). */
+    std::vector<uint16_t> invTask;
+    /** Invocation sequence number within its task (for tile RR). */
+    std::vector<uint32_t> invSeq;
+    /** @} */
 
-    const std::vector<DynEvent> &events() const { return events_; }
-    const std::vector<Invocation> &invocations() const
+    /** Dense node id -> live node. */
+    std::vector<const uir::Node *> nodes;
+
+    uint32_t numEvents = 0;
+    uint32_t numInvocations = 0;
+
+    /** Is deps[k] a memory-ordering-only dependency? */
+    bool
+    isMemDep(uint32_t k) const
     {
-        return invocations_;
+        return (memDepBits[k >> 6] >> (k & 63)) & 1;
     }
-    uint64_t numEvents() const { return events_.size(); }
+
+    /** Begin a new invocation; returns its index. */
+    uint32_t beginInvocation(uint16_t task, uint32_t seq);
+
+    /**
+     * Append one event of invocation @p inv and return its id.
+     * @p event_deps are earlier event ids in recording order; kNoEvent
+     * entries are skipped, and with @p dedupe so is an id already
+     * listed. Entries from index @p mem_from of @p event_deps on are
+     * memory-only. The invocation's first non-completion event gains
+     * kEvEntry.
+     */
+    uint32_t append(uint32_t inv, uint32_t node, uint8_t event_flags,
+                    std::span<const uint64_t> event_deps, bool dedupe,
+                    size_t mem_from = kNoMemDeps, uint64_t access_addr = 0,
+                    uint16_t access_words = 0,
+                    uint32_t queue_dep = kNoId32);
 
   private:
-    std::vector<DynEvent> events_;
-    std::vector<Invocation> invocations_;
-    /** Unordered: only ever point-queried, never iterated. */
-    std::unordered_map<const uir::Task *, uint64_t> seqCounters_;
+    /**
+     * The newest invocation while it has no entry event yet. Children
+     * start from a dispatch event of their parent, so an invocation's
+     * entry always precedes every later invocation's start, and only
+     * the newest one can still be waiting for it.
+     */
+    uint32_t awaitingEntry_ = kNoId32;
 };
+
+/**
+ * Heap bytes behind the record's columns — the microbench's
+ * bytes/event comparison against CompiledDdg::bytes().
+ */
+size_t ddgBytes(const Ddg &ddg);
 
 } // namespace muir::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <sstream>
 
 #include "sim/simulator.hh"
@@ -417,34 +418,36 @@ buildCatalog(const Ddg &ddg, const ir::MemoryImage &mem,
              const StatSet &golden_stats)
 {
     SiteCatalog sites;
-    const auto &events = ddg.events();
-    for (uint64_t id = 0; id < events.size(); ++id) {
-        const DynEvent &e = events[id];
-        if (e.deps.empty())
+    auto kindOf = [&](uint32_t id) {
+        return ddg.nodes[ddg.nodeOf[id]]->kind();
+    };
+    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
+        const uint32_t first = ddg.depStart[id];
+        const uint32_t last = ddg.depStart[id + 1];
+        if (first == last)
             continue;
         sites.edgeEvents.push_back(id);
-        if (e.node)
-            sites.nodeEdgeEvents.push_back(id);
-        if (e.node) {
-            switch (e.node->kind()) {
-              case uir::NodeKind::Compute:
-              case uir::NodeKind::Fused:
-              case uir::NodeKind::Load:
-                sites.valueEvents.push_back(id);
-                break;
-              case uir::NodeKind::SyncNode:
-                sites.syncEvents.push_back(id);
-                break;
-              default:
-                break;
-            }
+        if (ddg.flags[id] & kEvCompletion)
+            continue;
+        sites.nodeEdgeEvents.push_back(id);
+        switch (kindOf(id)) {
+          case uir::NodeKind::Compute:
+          case uir::NodeKind::Fused:
+          case uir::NodeKind::Load:
+            sites.valueEvents.push_back(id);
+            break;
+          case uir::NodeKind::SyncNode:
+            sites.syncEvents.push_back(id);
+            break;
+          default:
+            break;
         }
-        if (e.isEntry) {
-            for (unsigned k = 0; k < e.deps.size(); ++k) {
-                const DynEvent &p = events[e.deps[k]];
-                if (p.node &&
-                    p.node->kind() == uir::NodeKind::ChildCall) {
-                    sites.spawnEdges.emplace_back(id, k);
+        if (ddg.flags[id] & kEvEntry) {
+            for (uint32_t k = first; k < last; ++k) {
+                uint32_t p = ddg.deps[k];
+                if (!(ddg.flags[p] & kEvCompletion) &&
+                    kindOf(p) == uir::NodeKind::ChildCall) {
+                    sites.spawnEdges.emplace_back(id, k - first);
                     break;
                 }
             }
@@ -461,7 +464,10 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             const Ddg &ddg, SplitMix64 &rng, FaultPlan &plan,
             std::string &error)
 {
-    const auto &events = ddg.events();
+    auto depsOf = [&](uint64_t ev) {
+        return std::span<const uint32_t>(ddg.deps).subspan(
+            ddg.depStart[ev], ddg.depStart[ev + 1] - ddg.depStart[ev]);
+    };
     FaultKind kind = spec.kind;
     if (kind == FaultKind::Mix) {
         std::vector<FaultKind> avail;
@@ -493,10 +499,10 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
     auto pickEvent = [&](const std::vector<uint64_t> &pool,
                          const char *what) {
         if (spec.site != FaultSpec::kAutoSite) {
-            if (spec.site >= events.size()) {
-                error = fmt("site %llu out of range (%zu events)",
+            if (spec.site >= ddg.numEvents) {
+                error = fmt("site %llu out of range (%u events)",
                             static_cast<unsigned long long>(spec.site),
-                            events.size());
+                            ddg.numEvents);
                 return false;
             }
             plan.event = spec.site;
@@ -510,7 +516,7 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
         return true;
     };
     auto pickEdge = [&]() {
-        const auto &deps = events[plan.event].deps;
+        const auto deps = depsOf(plan.event);
         if (deps.empty()) {
             error = "target event has no input edges";
             return false;
@@ -585,13 +591,13 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             sites.spawnEdges.size())];
         plan.event = ev;
         plan.edge = k;
-        plan.producer = events[ev].deps[k];
+        plan.producer = depsOf(ev)[k];
         return true;
       }
       case FaultKind::LostSync: {
         if (!pickEvent(sites.syncEvents, "sync"))
             return false;
-        const auto &deps = events[plan.event].deps;
+        const auto deps = depsOf(plan.event);
         if (deps.empty()) {
             error = "target sync has no input edges";
             return false;
@@ -603,7 +609,7 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             // completions the sync exists to collect.
             std::vector<unsigned> cands;
             for (unsigned k = 0; k < deps.size(); ++k)
-                if (events[deps[k]].isCompletion)
+                if (ddg.flags[deps[k]] & kEvCompletion)
                     cands.push_back(k);
             plan.edge = cands.empty()
                             ? static_cast<unsigned>(
@@ -759,8 +765,8 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     golden_harness.watchdog.maxCycles = spec.maxCycles;
     RunContext golden_ctx;
     golden_ctx.fault = &golden_harness;
-    TimingResult golden =
-        scheduleDdg(compileDdg(accel, exec.ddg()), golden_ctx);
+    const CompiledDdg golden_ddg = compileDdg(accel, exec.takeDdg());
+    TimingResult golden = scheduleDdg(golden_ddg, golden_ctx);
     if (golden_harness.verdict.hang.tripped()) {
         out.error = "golden (fault-free) run tripped the watchdog:\n" +
                     golden_harness.verdict.hang.render();
@@ -771,7 +777,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     out.maxCycles =
         spec.maxCycles ? spec.maxCycles : golden.cycles * 8 + 4096;
     uint64_t max_firings = exec.firings() * 8 + 65536;
-    SiteCatalog sites = buildCatalog(exec.ddg(), golden_mem,
+    SiteCatalog sites = buildCatalog(golden_ddg, golden_mem,
                                      golden.stats);
 
     const std::string spec_text = renderFaultSpec(spec.fault);
@@ -790,7 +796,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
                        uint64_t(i) * 2654435761ull + 1);
         FaultPlan plan;
         std::string site_error;
-        if (!resolvePlan(spec.fault, sites, exec.ddg(), rng, plan,
+        if (!resolvePlan(spec.fault, sites, golden_ddg, rng, plan,
                          site_error)) {
             out.error =
                 "cannot inject '" + spec_text + "': " + site_error;

@@ -99,6 +99,33 @@ unionLength(std::vector<std::pair<uint64_t, uint64_t>> &intervals)
 
 } // namespace
 
+std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
+occupancyDeltas(const CompiledDdg &cd, const ProfileCollector &collector)
+{
+    const auto &costs = collector.events;
+    std::vector<uint64_t> completionFinish(cd.numInvocations, 0);
+    std::vector<uint32_t> entryEvent(cd.numInvocations, kNoId32);
+    for (uint32_t id = 0; id < cd.numEvents; ++id) {
+        if (cd.flags[id] & kEvCompletion)
+            completionFinish[cd.invocation[id]] = costs[id].finish;
+        if (cd.flags[id] & kEvEntry)
+            entryEvent[cd.invocation[id]] = id;
+    }
+    std::map<uint16_t, std::vector<std::pair<uint64_t, int>>> out;
+    for (uint32_t i = 0; i < cd.numInvocations; ++i) {
+        if (entryEvent[i] == kNoId32)
+            continue;
+        uint64_t enter = costs[entryEvent[i]].ready;
+        uint64_t leave = std::max(completionFinish[i], enter);
+        auto &deltas = out[cd.invTask[i]];
+        deltas.emplace_back(enter, +1);
+        deltas.emplace_back(leave, -1);
+    }
+    for (auto &[tid, deltas] : out)
+        std::sort(deltas.begin(), deltas.end());
+    return out;
+}
+
 ProfileResult
 buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
              uint64_t cycles)
@@ -146,29 +173,9 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
             unionLength(intervals);
 
     // --- Queue occupancy: invocations in flight over time. ---
-    std::vector<uint64_t> completionFinish(cd.numInvocations, 0);
-    std::vector<uint32_t> entryEvent(cd.numInvocations, kNoId32);
-    for (uint32_t id = 0; id < n; ++id) {
-        if (cd.flags[id] & kEvCompletion)
-            completionFinish[cd.invocation[id]] = costs[id].finish;
-        if (cd.flags[id] & kEvEntry)
-            entryEvent[cd.invocation[id]] = id;
-    }
-    std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
-        occupancyDeltas;
-    for (uint32_t i = 0; i < cd.numInvocations; ++i) {
-        TaskProfile &tp = taskProf(cd.invTask[i]);
-        ++tp.invocations;
-        if (entryEvent[i] == kNoId32)
-            continue;
-        uint64_t enter = costs[entryEvent[i]].ready;
-        uint64_t leave = std::max(completionFinish[i], enter);
-        auto &deltas = occupancyDeltas[cd.invTask[i]];
-        deltas.emplace_back(enter, +1);
-        deltas.emplace_back(leave, -1);
-    }
-    for (auto &[tid, deltas] : occupancyDeltas) {
-        std::sort(deltas.begin(), deltas.end());
+    for (uint32_t i = 0; i < cd.numInvocations; ++i)
+        ++taskProf(cd.invTask[i]).invocations;
+    for (const auto &[tid, deltas] : occupancyDeltas(cd, collector)) {
         TaskProfile &tp = taskProf(tid);
         uint64_t prev = 0;
         int64_t depth = 0;

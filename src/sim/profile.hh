@@ -219,6 +219,15 @@ struct ProfileResult
     std::map<unsigned, uint64_t> slackHistogram;
 };
 
+/**
+ * Task-queue occupancy of one collected replay of @p cd: per task id,
+ * the (cycle, +1/-1) steps of its invocations in flight, sorted. An
+ * invocation enters at its entry event's ready cycle and leaves at its
+ * completion's finish; one without an entry event is left out.
+ */
+std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
+occupancyDeltas(const CompiledDdg &cd, const ProfileCollector &collector);
+
 /** Derive the full profile from one collected replay of @p cd. */
 ProfileResult buildProfile(const CompiledDdg &cd,
                            const ProfileCollector &collector,

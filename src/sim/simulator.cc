@@ -37,15 +37,12 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     }
     result.firings = exec.firings();
 
-    // Compile unless handed an index. The record is dropped as soon as
-    // its index exists: the replay and every post-processing step
-    // below read only the index.
+    // Compile unless handed an index. The record moves into it: the
+    // replay and every post-processing step below read only the index.
     std::shared_ptr<const CompiledDdg> owned;
-    if (!options.compiled) {
+    if (!options.compiled)
         owned = std::make_shared<const CompiledDdg>(
-            compileDdg(accel, exec.ddg()));
-        exec.takeDdg();
-    }
+            compileDdg(accel, exec.takeDdg()));
     const CompiledDdg &cd = options.compiled ? *options.compiled : *owned;
     if (options.keepCompiled)
         result.compiled = owned;

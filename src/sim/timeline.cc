@@ -187,27 +187,7 @@ buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
 
     // Task-queue occupancy: integrate invocations-in-flight per
     // window (enter at the entry event's ready, leave at completion).
-    std::vector<uint64_t> completionFinish(cd.numInvocations, 0);
-    std::vector<uint32_t> entryEvent(cd.numInvocations, kNoId32);
-    for (uint32_t id = 0; id < events; ++id) {
-        if (cd.flags[id] & kEvCompletion)
-            completionFinish[cd.invocation[id]] = costs[id].finish;
-        if (cd.flags[id] & kEvEntry)
-            entryEvent[cd.invocation[id]] = id;
-    }
-    std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
-        occupancyDeltas;
-    for (uint32_t i = 0; i < cd.numInvocations; ++i) {
-        if (entryEvent[i] == kNoId32)
-            continue;
-        uint64_t enter = costs[entryEvent[i]].ready;
-        uint64_t leave = std::max(completionFinish[i], enter);
-        auto &deltas = occupancyDeltas[cd.invTask[i]];
-        deltas.emplace_back(enter, +1);
-        deltas.emplace_back(leave, -1);
-    }
-    for (auto &[tid, deltas] : occupancyDeltas) {
-        std::sort(deltas.begin(), deltas.end());
+    for (const auto &[tid, deltas] : occupancyDeltas(cd, collector)) {
         auto &lane = tl.taskOccupancyCycles[cd.tasks[tid].task->name()];
         lane.assign(n, 0);
         uint64_t prev = 0;

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "sim/exec.hh"
 #include "sim/fault.hh"
 #include "sim/simulator.hh"
 #include "support/json.hh"
@@ -314,6 +315,42 @@ TEST(Campaign, MemFlipOnOutputWordIsSilent)
     for (uint64_t c : r.histogram)
         total += c;
     EXPECT_EQ(total, 10u);
+}
+
+TEST(Campaign, PointerFlipOutsideTheImageIsABusError)
+{
+    // A flipped pointer bit on a GEP sends its consumer's access
+    // outside the data image. The bus guard must classify the run as
+    // Detected before the executor touches any per-word memory state
+    // with the wild address.
+    workloads::Workload w = workloads::buildWorkload("saxpy");
+    auto accel = workloads::lowerBaseline(w);
+    ir::MemoryImage mem(*w.module);
+    w.bind(mem);
+    UirExecutor exec(*accel, mem);
+    exec.run({});
+    const Ddg &ddg = exec.ddg();
+    // flipBit keeps pointer flips in the low 20 bits; bit 19 moves an
+    // address by 512 KiB, past the end of saxpy's image.
+    ASSERT_LT(mem.sizeBytes(), uint64_t(1) << 19);
+    uint32_t gep = kNoId32;
+    for (uint32_t id = 0; id < ddg.numEvents && gep == kNoId32; ++id) {
+        if (ddg.nodeOf[id] == kNoId32)
+            continue;
+        const uir::Node &node = *ddg.nodes[ddg.nodeOf[id]];
+        if (node.kind() == uir::NodeKind::Compute &&
+            node.op() == ir::Op::GEP)
+            gep = id;
+    }
+    ASSERT_NE(gep, kNoId32);
+
+    CampaignResult r = campaignOn(
+        "saxpy", "dataflip@" + std::to_string(gep) + ":bit=19", 1, 1);
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.records.size(), 1u);
+    EXPECT_EQ(r.records[0].outcome, Outcome::Detected);
+    EXPECT_NE(r.records[0].detail.find("bus error"), std::string::npos)
+        << r.records[0].detail;
 }
 
 // --------------------------------------------------------------- campaign

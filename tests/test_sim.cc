@@ -85,10 +85,11 @@ TEST(Ddg, DepsAlwaysPointBackwards)
     UirExecutor exec(*accel, mem);
     exec.run({});
     const Ddg &ddg = exec.ddg();
-    ASSERT_GT(ddg.numEvents(), 0u);
-    for (uint64_t id = 0; id < ddg.numEvents(); ++id)
-        for (uint64_t d : ddg.events()[id].deps)
-            EXPECT_LT(d, id);
+    ASSERT_GT(ddg.numEvents, 0u);
+    ASSERT_EQ(ddg.depStart.size(), ddg.numEvents + 1u);
+    for (uint32_t id = 0; id < ddg.numEvents; ++id)
+        for (uint32_t k = ddg.depStart[id]; k < ddg.depStart[id + 1]; ++k)
+            EXPECT_LT(ddg.deps[k], id);
 }
 
 TEST(Ddg, EveryInvocationHasEntryAndCompletion)
@@ -99,19 +100,24 @@ TEST(Ddg, EveryInvocationHasEntryAndCompletion)
     UirExecutor exec(*accel, mem);
     exec.run({});
     const Ddg &ddg = exec.ddg();
-    std::vector<bool> completed(ddg.invocations().size(), false);
-    for (const auto &e : ddg.events())
-        if (e.isCompletion)
-            completed[e.invocation] = true;
-    for (size_t i = 0; i < completed.size(); ++i) {
-        EXPECT_TRUE(completed[i]) << "invocation " << i;
-        EXPECT_NE(ddg.invocations()[i].entryEvent, kNoEvent);
+    std::vector<unsigned> completions(ddg.numInvocations, 0);
+    std::vector<unsigned> entries(ddg.numInvocations, 0);
+    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
+        if (ddg.flags[id] & sim::kEvCompletion)
+            ++completions[ddg.invocation[id]];
+        if (ddg.flags[id] & sim::kEvEntry)
+            ++entries[ddg.invocation[id]];
+    }
+    for (uint32_t i = 0; i < ddg.numInvocations; ++i) {
+        EXPECT_GE(completions[i], 1u) << "invocation " << i;
+        EXPECT_EQ(entries[i], 1u) << "invocation " << i;
     }
 }
 
 TEST(Ddg, MemoryRawDependenciesRecorded)
 {
-    // store then load of the same word must be ordered.
+    // store then load of the same word must be ordered, by a
+    // memory-only dep.
     Module m("rw");
     auto *buf = m.addGlobal("buf", Type::i32(), 4);
     Function *fn = m.addFunction("rw", Type::i32());
@@ -127,19 +133,25 @@ TEST(Ddg, MemoryRawDependenciesRecorded)
     auto outs = exec.run({});
     EXPECT_EQ(outs.at(0).asInt(), 7);
 
-    uint64_t store_id = kNoEvent, load_id = kNoEvent;
-    for (uint64_t id = 0; id < exec.ddg().numEvents(); ++id) {
-        const auto &e = exec.ddg().events()[id];
-        if (e.isStore)
+    const Ddg &ddg = exec.ddg();
+    uint32_t store_id = sim::kNoId32, load_id = sim::kNoId32;
+    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
+        if (ddg.flags[id] & sim::kEvStore)
             store_id = id;
-        if (e.isLoad)
+        if (ddg.flags[id] & sim::kEvLoad)
             load_id = id;
     }
-    ASSERT_NE(store_id, kNoEvent);
-    ASSERT_NE(load_id, kNoEvent);
-    const auto &load = exec.ddg().events()[load_id];
-    EXPECT_NE(std::find(load.deps.begin(), load.deps.end(), store_id),
-              load.deps.end());
+    ASSERT_NE(store_id, sim::kNoId32);
+    ASSERT_NE(load_id, sim::kNoId32);
+    unsigned ordered = 0;
+    for (uint32_t k = ddg.depStart[load_id]; k < ddg.depStart[load_id + 1];
+         ++k) {
+        if (ddg.deps[k] == store_id) {
+            ++ordered;
+            EXPECT_TRUE(ddg.isMemDep(k));
+        }
+    }
+    EXPECT_EQ(ordered, 1u);
 }
 
 TEST(Timing, LongerFusionChainsRaiseLatencyModel)
@@ -282,7 +294,7 @@ TEST(Exec, FunctionalOnlyModeSkipsDdg)
     mem.writeInts(k.in, data);
     UirExecutor exec(*accel, mem, /*record_ddg=*/false);
     exec.run({});
-    EXPECT_EQ(exec.ddg().numEvents(), 0u);
+    EXPECT_EQ(exec.ddg().numEvents, 0u);
     auto out = mem.readInts(k.out);
     EXPECT_EQ(out[5], 5 + 1);
 }
