@@ -65,10 +65,16 @@ applyPureOp(Op op, const std::vector<RuntimeValue> &ops,
             fn(ops[0].asFloat(), ops[1].asFloat()) ? 1 : 0);
     };
 
+    // Integer datapaths wrap like the hardware's two's-complement
+    // adders and multipliers; signed overflow would be undefined here.
+    auto wrap = [](uint64_t v) { return static_cast<int64_t>(v); };
     switch (op) {
-      case Op::Add: return intBin([](int64_t a, int64_t b) { return a + b; });
-      case Op::Sub: return intBin([](int64_t a, int64_t b) { return a - b; });
-      case Op::Mul: return intBin([](int64_t a, int64_t b) { return a * b; });
+      case Op::Add:
+        return intBin([&](uint64_t a, uint64_t b) { return wrap(a + b); });
+      case Op::Sub:
+        return intBin([&](uint64_t a, uint64_t b) { return wrap(a - b); });
+      case Op::Mul:
+        return intBin([&](uint64_t a, uint64_t b) { return wrap(a * b); });
       case Op::SDiv:
         return intBin([](int64_t a, int64_t b) {
             muir_assert(b != 0, "division by zero");
