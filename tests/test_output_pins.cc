@@ -4,8 +4,9 @@
  * that post-processes a replay — the μprof profile JSON, the μscope
  * timeline JSON and the Perfetto trace JSON on all 21 baselines, the
  * μfit campaign JSON for every fault kind and the mix, the rendered
- * hang diagnosis of a pinned token loss, and the dynamic conflict
- * observer's findings on the μlint race fixtures.
+ * hang diagnosis of a pinned token loss, the dynamic conflict
+ * observer's findings on the μlint race fixtures, and the cache
+ * counters of a design whose accesses straddle cache lines.
  *
  * Each surface is hashed (FNV-1a, 64 bit) and compared against a
  * fixed table. A refactor of the DDG representation or of the replay
@@ -119,6 +120,7 @@ pinnedHashes()
         {"relu.timeline", 0x2c7004a9aaaa3918ull},
         {"relu.trace", 0x17bdf369c928a75cull},
         {"relu_t.profile", 0xa8ebdf189dfbbf7dull},
+        {"relu_t.straddle", 0x80e790a3b6b0f8a7ull},
         {"relu_t.timeline", 0x99f0e746a6d78f65ull},
         {"relu_t.trace", 0x305d86b06cf582feull},
         {"rgb2yuv.profile", 0x500d9053259ce241ull},
@@ -287,6 +289,29 @@ TEST(OutputPins, ConflictsOnRaceFixtures)
                                : "race.private_slot.conflicts",
                      text);
     }
+}
+
+TEST(OutputPins, LineStraddlingCacheAccesses)
+{
+    // relu_t streams 16-byte tensor loads through the L1. With 24-byte
+    // lines one load in three straddles two lines, and the next load
+    // hits only because the straddling load's second tag probe
+    // allocated its line. (With lines shorter than the access every
+    // load ends in a new line and misses whatever the second probe
+    // does.)
+    setVerbose(false);
+    workloads::Workload w = workloads::buildWorkload("relu_t");
+    auto accel = workloads::lowerBaseline(w);
+    accel->structureByName("l1")->setLineBytes(24);
+    workloads::RunResult run = workloads::runOn(w, *accel, {});
+    ASSERT_TRUE(run.check.empty()) << run.check;
+    expectPinned("relu_t.straddle",
+                 fmt("cycles %llu cache.hits %llu cache.misses %llu\n",
+                     static_cast<unsigned long long>(run.cycles),
+                     static_cast<unsigned long long>(
+                         run.stats.get("cache.hits")),
+                     static_cast<unsigned long long>(
+                         run.stats.get("cache.misses"))));
 }
 
 } // namespace muir
