@@ -205,8 +205,9 @@ Lowering::buildRegions(const ir::Function &fn, TaskKind root_kind)
     for (BasicBlock *bb : cfg.rpo())
         root->allBlocks.insert(bb);
 
-    // Loop regions.
-    std::map<ir::Loop *, Region *> loop_region;
+    // Loop regions, then spawn regions, in program order: task ids
+    // follow this order, so it must not depend on heap addresses.
+    std::vector<Region *> fn_regions;
     for (ir::Loop *loop : li.allLoops()) {
         auto *r = regions_.emplace_back(std::make_unique<Region>()).get();
         r->kind = TaskKind::Loop;
@@ -225,12 +226,11 @@ Lowering::buildRegions(const ir::Function &fn, TaskKind root_kind)
                     loop->header->name().c_str());
         r->bodyEntry = hterm->successor(0);
         r->exitBlock = hterm->successor(1);
-        loop_region[loop] = r;
+        fn_regions.push_back(r);
         loopEntry_[loop->header] = r;
     }
 
     // Spawn regions (one per detach).
-    std::vector<Region *> spawn_regions;
     for (BasicBlock *bb : cfg.rpo()) {
         const Instruction *term = bb->terminator();
         if (!term || term->op() != Op::Detach)
@@ -245,18 +245,12 @@ Lowering::buildRegions(const ir::Function &fn, TaskKind root_kind)
         for (BasicBlock *rb : ir::detachRegion(*term))
             r->allBlocks.insert(rb);
         detachRegion_[term] = r;
-        spawn_regions.push_back(r);
+        fn_regions.push_back(r);
     }
 
     // Parenting: each non-root region's parent is the smallest other
     // region strictly containing its entry block. Regions are properly
     // nested so "smallest containing" is well defined.
-    std::vector<Region *> fn_regions;
-    for (auto &[loop, r] : loop_region)
-        fn_regions.push_back(r);
-    for (Region *r : spawn_regions)
-        fn_regions.push_back(r);
-
     auto entry_of = [](Region *r) -> BasicBlock * {
         if (r->kind == TaskKind::Loop)
             return r->loop->header;

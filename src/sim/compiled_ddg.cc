@@ -27,9 +27,7 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
         cd.queueDep, cd.invocation, cd.nodeOf, cd.invTask, cd.invSeq,
         cd.nodes);
 
-    // ---- design tables: task / node / structure geometry -----------
-    std::vector<uint32_t> taskJunctionBase;
-    std::vector<uint16_t> taskReadPorts, taskWritePorts;
+    // ---- design tables: task / structure / node / invocation -------
     uint32_t port_cursor = 0;
     for (const auto &task : accel.tasks()) {
         muir_assert(task->id() == cd.tasks.size(),
@@ -38,35 +36,12 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
         ct.task = task.get();
         ct.statPrefix = "task." + task->name() + ".";
         ct.tiles = std::max(1u, task->numTiles());
-        unsigned r = std::max(1u, task->junctionReadPorts());
-        unsigned w = std::max(1u, task->junctionWritePorts());
-        taskJunctionBase.push_back(port_cursor);
-        taskReadPorts.push_back(static_cast<uint16_t>(r));
-        taskWritePorts.push_back(static_cast<uint16_t>(w));
-        port_cursor += ct.tiles * (r + w);
+        ct.readPorts = std::max(1u, task->junctionReadPorts());
+        ct.writePorts = std::max(1u, task->junctionWritePorts());
+        ct.junctionBase = port_cursor;
+        port_cursor += ct.tiles * (ct.readPorts + ct.writePorts);
         cd.tasks.push_back(std::move(ct));
     }
-
-    // Per record node: its in-order-initiation slot base, static
-    // timing, task, and (resolved on first access) structure.
-    const size_t num_nodes = cd.nodes.size();
-    std::vector<uint32_t> nodeSlotBase(num_nodes);
-    std::vector<uint32_t> nodeLat(num_nodes), nodeIi(num_nodes);
-    std::vector<uint16_t> nodeTask(num_nodes);
-    std::vector<uint16_t> nodeStruct(num_nodes, kNoId16);
-    uint32_t slot_cursor = 0;
-    for (size_t nid = 0; nid < num_nodes; ++nid) {
-        const uir::Node &node = *cd.nodes[nid];
-        uint16_t tid = static_cast<uint16_t>(node.parent()->id());
-        muir_assert(cd.tasks.at(tid).task == node.parent(),
-                    "compileDdg: record belongs to another design");
-        nodeSlotBase[nid] = slot_cursor;
-        nodeLat[nid] = uir::nodeLatency(node);
-        nodeIi[nid] = uir::nodeInitiationInterval(node);
-        nodeTask[nid] = tid;
-        slot_cursor += cd.tasks[tid].tiles;
-    }
-    cd.initSlots = slot_cursor;
 
     const uir::Structure *dram = nullptr;
     for (const auto &s : accel.structures())
@@ -84,9 +59,9 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
         cs.lineBytes = s->lineBytes();
         cs.latency = s->latency();
         cs.missLatency = s->missLatency();
+        cs.banks = s->banks();
         cs.portsPerBank = s->portsPerBank();
-        cs.sizeKb = s->sizeKb();
-        cs.ways = s->ways();
+        cs.wideWords = std::max(1u, s->wideWords());
         double bpc = dram ? dram->bytesPerCycle() : s->bytesPerCycle();
         cs.missXfer = static_cast<uint64_t>(s->lineBytes() /
                                             std::max(1.0, bpc));
@@ -96,62 +71,28 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
     }
     cd.portSlots = port_cursor;
 
-    // ---- design-resolved per-event columns -------------------------
-    cd.initSlot.assign(n, kNoId32);
-    cd.latency.resize(n);
-    cd.initInterval.resize(n);
-    cd.tile.resize(n);
-    cd.junctionPortBase.resize(n);
-    cd.junctionPorts.resize(n);
-    cd.bankPortBase.resize(n);
-    cd.beats.resize(n);
-    cd.taskOf.assign(n, kNoId16);
-    cd.structOf.assign(n, kNoId16);
-    for (uint32_t id = 0; id < n; ++id) {
-        uint8_t &fl = cd.flags[id];
-        if (fl & kEvCompletion)
-            continue;
-
-        uint32_t nid = cd.nodeOf[id];
-        uint16_t tid = nodeTask[nid];
-        unsigned tiles = cd.tasks[tid].tiles;
-        uint32_t tile = cd.invSeq[cd.invocation[id]] % tiles;
-        cd.taskOf[id] = tid;
-        cd.tile[id] = tile;
-        cd.initSlot[id] = nodeSlotBase[nid] + tile;
-        cd.latency[id] = nodeLat[nid];
-        cd.initInterval[id] = nodeIi[nid];
-
-        if (!(fl & (kEvLoad | kEvStore)))
-            continue;
-        bool load = fl & kEvLoad;
-        unsigned r = taskReadPorts[tid];
-        unsigned w = taskWritePorts[tid];
-        uint32_t jbase = taskJunctionBase[tid] + tile * (r + w);
-        cd.junctionPortBase[id] = load ? jbase : jbase + r;
-        cd.junctionPorts[id] = static_cast<uint16_t>(load ? r : w);
-
-        uint16_t &sid = nodeStruct[nid];
-        if (sid == kNoId16)
-            sid = structIds.at(
-                accel.structureForSpace(cd.nodes[nid]->memSpace()));
-        const CompiledStruct &cs = cd.structs[sid];
-        const uir::Structure *s = cs.s;
-        uint64_t addr = cd.addr[id];
-        unsigned words = cd.words[id];
-        unsigned wide = std::max(1u, s->wideWords());
-        // Caches interleave banks by line, scratchpads by wide word.
-        uint64_t unit = cs.isCache ? addr / cs.lineBytes : addr / 4 / wide;
-        auto bank_idx = static_cast<uint32_t>(unit % s->banks());
-        cd.structOf[id] = sid;
-        cd.beats[id] =
-            static_cast<uint16_t>((std::max(1u, words) + wide - 1) / wide);
-        cd.bankPortBase[id] = cs.portBase + bank_idx * cs.portsPerBank;
-        if (cs.isCache && words > 1 &&
-            (addr / cs.lineBytes) !=
-                ((addr + words * 4 - 1) / cs.lineBytes))
-            fl |= kEvStraddle;
+    uint32_t slot_cursor = 0;
+    cd.nodeInfo.resize(cd.nodes.size());
+    for (size_t nid = 0; nid < cd.nodes.size(); ++nid) {
+        const uir::Node &node = *cd.nodes[nid];
+        CompiledNode &cn = cd.nodeInfo[nid];
+        cn.task = static_cast<uint16_t>(node.parent()->id());
+        muir_assert(cd.tasks.at(cn.task).task == node.parent(),
+                    "compileDdg: record belongs to another design");
+        cn.slotBase = slot_cursor;
+        cn.latency = uir::nodeLatency(node);
+        cn.initInterval = uir::nodeInitiationInterval(node);
+        if (node.kind() == uir::NodeKind::Load ||
+            node.kind() == uir::NodeKind::Store)
+            cn.structure =
+                structIds.at(accel.structureForSpace(node.memSpace()));
+        slot_cursor += cd.tasks[cn.task].tiles;
     }
+    cd.initSlots = slot_cursor;
+
+    cd.invTile.resize(cd.numInvocations);
+    for (uint32_t i = 0; i < cd.numInvocations; ++i)
+        cd.invTile[i] = cd.invSeq[i] % cd.tasks[cd.invTask[i]].tiles;
 
     // ---- dependents CSR (consumer ids ascending per producer) ------
     const uint32_t num_deps = static_cast<uint32_t>(cd.deps.size());
@@ -212,12 +153,8 @@ size_t
 CompiledDdg::bytes() const
 {
     size_t total = ddgBytes(*this) + vecBytes(depdStart) +
-                   vecBytes(dependents) + vecBytes(initSlot) +
-                   vecBytes(latency) + vecBytes(initInterval) +
-                   vecBytes(tile) + vecBytes(junctionPortBase) +
-                   vecBytes(junctionPorts) + vecBytes(bankPortBase) +
-                   vecBytes(beats) + vecBytes(taskOf) +
-                   vecBytes(structOf) + vecBytes(structs);
+                   vecBytes(dependents) + vecBytes(nodeInfo) +
+                   vecBytes(structs) + vecBytes(invTile);
     total += tasks.capacity() * sizeof(CompiledTask);
     for (const auto &t : tasks)
         total += t.statPrefix.capacity();

@@ -1,20 +1,25 @@
 /**
  * @file
- * The replay index: a recorded dynamic dependence graph extended with
- * everything the scheduler resolves against one design.
+ * The replay index: a recorded dynamic dependence graph plus the
+ * design facts the scheduler reads while it replays the record.
  *
  * A `CompiledDdg` is the flat record (sim/ddg.hh), whose columns it
- * takes over as recorded (compiling only sets kEvStraddle in flags),
- * plus
+ * takes over unchanged, plus
  *
  *  - the dependents CSR (the reverse of the record's deps CSR), built
- *    once instead of on every replay;
- *  - every pointer-keyed lookup the scheduler's hot loop needs,
- *    resolved ahead of time into dense per-event columns: task and
- *    structure ids, the round-robin tile, the in-order-initiation
- *    slot, the junction and bank port-file ranges, the bank index
- *    derived from the address, and the static latency / initiation
- *    interval of the fired node.
+ *    once instead of on every replay, and the only per-event data
+ *    compiling adds;
+ *  - small design tables the replay looks up per event: per record
+ *    node its in-order-initiation slot base, static latency /
+ *    initiation interval, task and structure; per task its tiles and
+ *    junction port range; per structure its bank geometry; and per
+ *    invocation its round-robin tile.
+ *
+ * The replay derives the rest per event from the record's columns and
+ * these tables: the slot (node base + tile), the junction ports, the
+ * bank (from the address), the port beats and whether a multi-word
+ * access straddles a cache line. A design has tens of nodes and a run
+ * millions of events, so the tables stay in L1.
  *
  * A CompiledDdg is backed by a handful of flat allocations (see
  * bytes()) and is strictly read-only after compileDdg returns, so any
@@ -30,6 +35,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,13 +54,30 @@ struct CompiledStruct
     unsigned lineBytes = 0;
     unsigned latency = 0;
     unsigned missLatency = 0;
+    unsigned banks = 1;
     unsigned portsPerBank = 1;
-    unsigned sizeKb = 0;
-    unsigned ways = 0;
+    /** Words one port moves per beat (at least 1). */
+    unsigned wideWords = 1;
     /** DRAM refill occupancy per miss: lineBytes / DRAM bytes/cycle. */
     uint64_t missXfer = 0;
     /** First bank-port slot of this structure in the port file. */
     uint32_t portBase = 0;
+
+    /** First of the portsPerBank slots of the bank serving @p addr.
+     *  Caches interleave banks by line, scratchpads by wide word. */
+    uint32_t
+    bankSlot(uint64_t addr) const
+    {
+        uint64_t unit = isCache ? addr / lineBytes : addr / 4 / wideWords;
+        return portBase + static_cast<uint32_t>(unit % banks) * portsPerBank;
+    }
+
+    /** Port beats an access of @p words occupies. */
+    unsigned
+    beats(unsigned words) const
+    {
+        return (std::max(1u, words) + wideWords - 1) / wideWords;
+    }
 };
 
 /** One task with its per-run stat prefix prebuilt. */
@@ -64,13 +87,41 @@ struct CompiledTask
     /** "task.<name>." — so the replay never rebuilds it per event. */
     std::string statPrefix;
     unsigned tiles = 1;
+    /** Junction ports per tile (at least 1 each). */
+    unsigned readPorts = 1;
+    unsigned writePorts = 1;
+    /** First junction slot of this task in the port file. */
+    uint32_t junctionBase = 0;
+
+    /** First junction slot of @p tile's read (@p load) or write
+     *  ports: each tile owns its read ports, then its write ports. */
+    uint32_t
+    junctionSlot(uint32_t tile, bool load) const
+    {
+        return junctionBase + tile * (readPorts + writePorts) +
+               (load ? 0 : readPorts);
+    }
+};
+
+/** One record node (Ddg::nodes) with its static timing resolved. */
+struct CompiledNode
+{
+    /** First in-order-initiation slot; the node owns one per tile of
+     *  its task, indexed by tile. */
+    uint32_t slotBase = 0;
+    /** Static latency (memory access cost is added at replay). */
+    uint32_t latency = 0;
+    uint32_t initInterval = 0;
+    /** Task id (uir::Task::id()). */
+    uint16_t task = 0;
+    /** Structure id (index into CompiledDdg::structs) of a load or
+     *  store node; kNoId16 otherwise. */
+    uint16_t structure = kNoId16;
 };
 
 /**
- * The immutable struct-of-arrays replay index: the record's columns
- * (inherited from Ddg) plus the columns below. All per-event columns
- * have numEvents entries; fields that only apply to a subset of events
- * (memory ops, completions) hold sentinels elsewhere.
+ * The immutable replay index: the record's columns (inherited from
+ * Ddg), the dependents CSR, and the design tables.
  */
 struct CompiledDdg : Ddg
 {
@@ -79,34 +130,16 @@ struct CompiledDdg : Ddg
     std::vector<uint32_t> depdStart;
     std::vector<uint32_t> dependents;
 
-    /** @name Design-resolved per-event columns @{ */
-    /** In-order-initiation slot: index into the per-run node-free
-     *  file (node base + tile); kNoId32 for completions. */
-    std::vector<uint32_t> initSlot;
-    /** Static node latency (memory access cost is added at replay). */
-    std::vector<uint32_t> latency;
-    std::vector<uint32_t> initInterval;
-    /** Round-robin tile: invocation seq mod task tiles. */
-    std::vector<uint32_t> tile;
-    /** Junction port-file range for this access's direction (read
-     *  ports for loads, write ports for stores). */
-    std::vector<uint32_t> junctionPortBase;
-    std::vector<uint16_t> junctionPorts;
-    /** Bank port-file base: structure base + bank index x ports. */
-    std::vector<uint32_t> bankPortBase;
-    /** Port beats the access occupies (words over the wide width, so
-     *  no more than words). */
-    std::vector<uint16_t> beats;
-    /** Dense task id of the fired node; kNoId16 for completions. */
-    std::vector<uint16_t> taskOf;
-    /** Dense structure id of the access; kNoId16 for non-memory. */
-    std::vector<uint16_t> structOf;
-    /** @} */
-
-    /** @name Resolved design tables @{ */
-    /** Indexed by task id (Ddg::invTask). */
+    /** @name Design tables @{ */
+    /** Indexed by record node id (Ddg::nodeOf). */
+    std::vector<CompiledNode> nodeInfo;
+    /** Indexed by task id (Ddg::invTask, CompiledNode::task). */
     std::vector<CompiledTask> tasks;
+    /** Indexed by structure id (CompiledNode::structure). */
     std::vector<CompiledStruct> structs;
+    /** Indexed by invocation: its round-robin tile, invSeq mod the
+     *  task's tiles. */
+    std::vector<uint32_t> invTile;
     /** @} */
 
     /** Size of the per-run in-order-initiation free file. */
@@ -124,8 +157,9 @@ struct CompiledDdg : Ddg
 
 /**
  * Extend @p ddg into its replay form against @p accel. The record's
- * columns move into the result; callers that keep their record pass a
- * copy. The result borrows @p accel, which must outlive it.
+ * columns move into the result unchanged; callers that keep their
+ * record pass a copy. The result borrows @p accel, which must outlive
+ * it.
  */
 CompiledDdg compileDdg(const uir::Accelerator &accel, Ddg ddg);
 

@@ -7,9 +7,11 @@
  *
  * The record is flat and columnar: a CSR of 32-bit deps with one
  * memory-only bit per entry, one column per event attribute, and one
- * per invocation attribute. The executor appends to it directly, and
- * compileDdg (sim/compiled_ddg.hh) takes the columns over as they are,
- * adding only the dependents CSR and the design-resolved columns, so a
+ * per invocation attribute. No column holds a latency, tile, port or
+ * bank; the replay takes those from the design. The executor appends
+ * to it directly, and compileDdg (sim/compiled_ddg.hh) takes the
+ * columns over as they are, adding only the dependents CSR and small
+ * per-node, per-task, per-structure and per-invocation tables, so a
  * DDG exists in this one form.
  *
  * Invariant: every dependency references an earlier event id, so a
@@ -48,9 +50,6 @@ enum : uint8_t
     /** Synthetic event: an invocation's completion or a loop's
      *  carried-value latch. It has no node. */
     kEvCompletion = 1u << 3,
-    /** Multi-word access straddles a cache line (second tag probe).
-     *  Set by compileDdg, which knows the line size. */
-    kEvStraddle = 1u << 4,
 };
 
 /** The whole execution record, one column per attribute. */

@@ -159,14 +159,14 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
         }
         if (cd.flags[id] & kEvCompletion)
             continue;
-        TaskProfile &tp = taskProf(cd.taskOf[id]);
+        uint16_t tid = cd.invTask[cd.invocation[id]];
+        TaskProfile &tp = taskProf(tid);
         ++tp.events;
         StallBreakdown sb = rawStalls(c);
         tp.raw.add(sb);
         r.raw.add(sb);
         if (c.finish > c.start)
-            tileIntervals[{cd.taskOf[id], c.tile}].push_back(
-                {c.start, c.finish});
+            tileIntervals[{tid, c.tile}].push_back({c.start, c.finish});
     }
     for (auto &[key, intervals] : tileIntervals)
         taskProf(key.first).tileBusy[key.second] =
@@ -218,7 +218,8 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
             uint64_t next = c.critDep;
             if (!(cd.flags[cur] & kEvCompletion)) {
                 const uir::Node *node = cd.nodes[cd.nodeOf[cur]];
-                TaskProfile &tp = taskProf(cd.taskOf[cur]);
+                TaskProfile &tp =
+                    taskProf(cd.invTask[cd.invocation[cur]]);
                 CritPathEntry &pe = perNode[node];
                 pe.node = node;
                 ++pe.events;

@@ -154,8 +154,8 @@ buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
         size_t sw = static_cast<size_t>(c.start / width);
         ++tl.eventStarts[std::min(sw, n - 1)];
         if (c.finish > c.start)
-            tileIntervals[{cd.taskOf[id], c.tile}].push_back(
-                {c.start, c.finish});
+            tileIntervals[{cd.invTask[cd.invocation[id]], c.tile}]
+                .push_back({c.start, c.finish});
         if (c.structure) {
             auto it = tl.structures.find(c.structure->name());
             if (it != tl.structures.end())

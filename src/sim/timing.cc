@@ -347,31 +347,38 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         if (fl & kEvCompletion) {
             end_time = ready;
         } else {
+            const CompiledNode &cn = cd.nodeInfo[cd.nodeOf[id]];
+            const uint32_t tile = cd.invTile[cd.invocation[id]];
             // In-order initiation per static node per tile.
-            uint64_t &nf = initFree[cd.initSlot[id]];
+            uint64_t &nf = initFree[cn.slotBase + tile];
             uint64_t start = std::max(ready, nf);
             if (cost) {
-                cost->tile = cd.tile[id];
+                cost->tile = tile;
                 cost->iiWait = start - ready;
             }
 
-            uint64_t latency = cd.latency[id];
+            uint64_t latency = cn.latency;
 
             if (fl & (kEvLoad | kEvStore)) {
                 // Junction arbitration (task-side R/W ports, §3.4).
+                const CompiledTask &ct = cd.tasks[cn.task];
+                bool load = fl & kEvLoad;
                 uint64_t pre = start;
-                start = claimPort(&portFree[cd.junctionPortBase[id]],
-                                  cd.junctionPorts[id], start, 1);
+                start = claimPort(&portFree[ct.junctionSlot(tile, load)],
+                                  load ? ct.readPorts : ct.writePorts,
+                                  start, 1);
                 ++mem_events;
                 junction_wait += start - pre;
                 if (cost)
                     cost->junctionWait = start - pre;
 
                 // Structure access.
-                const CompiledStruct &cs = cd.structs[cd.structOf[id]];
-                unsigned beats = cd.beats[id];
+                const CompiledStruct &cs = cd.structs[cn.structure];
+                const uint64_t addr = cd.addr[id];
+                const unsigned words = cd.words[id];
+                unsigned beats = cs.beats(words);
                 pre = start;
-                start = claimPort(&portFree[cd.bankPortBase[id]],
+                start = claimPort(&portFree[cs.bankSlot(addr)],
                                   cs.portsPerBank, start, beats);
                 bank_wait += start - pre;
                 if (cost) {
@@ -380,7 +387,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                     cost->beats = beats;
                 }
                 if (prof) {
-                    auto &use = structUse[cd.structOf[id]];
+                    auto &use = structUse[cn.structure];
                     ++use.accesses;
                     use.busyBeats += beats;
                     if (start > pre)
@@ -388,13 +395,15 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                 }
 
                 uint64_t access = cs.latency + beats - 1;
-                CacheTags *tag = tags[cd.structOf[id]].get();
+                CacheTags *tag = tags[cn.structure].get();
                 if (tag) {
-                    bool hit = tag->access(cd.addr[id]);
-                    // Multi-word accesses may straddle a line.
-                    if (fl & kEvStraddle)
-                        hit &= tag->access(cd.addr[id] +
-                                           cd.words[id] * 4 - 1);
+                    bool hit = tag->access(addr);
+                    // A multi-word access that straddles a line probes
+                    // the second line too.
+                    uint64_t last = addr + words * 4 - 1;
+                    if (words > 1 &&
+                        last / cs.lineBytes != addr / cs.lineBytes)
+                        hit &= tag->access(last);
                     if (hit) {
                         ++cache_hits;
                     } else {
@@ -433,12 +442,12 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                 latency += access;
             }
 
-            nf = start + cd.initInterval[id];
+            nf = start + cn.initInterval;
             if (dup_token && id == plan->event) {
                 // A duplicated token makes the consumer fire twice: the
                 // ghost firing claims a second initiation slot on the
                 // same tile.
-                nf += cd.initInterval[id];
+                nf += cn.initInterval;
                 result.stats.inc("fault.duplicate_token");
             }
             if (stuck_valid && id == plan->event) {
@@ -450,9 +459,9 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             ++firings;
             // Per-task stall attribution: time spent waiting on
             // structural resources after operands were ready.
-            ++taskEvents[cd.taskOf[id]];
+            ++taskEvents[cn.task];
             if (start > ready)
-                taskStall[cd.taskOf[id]] += start - ready;
+                taskStall[cn.task] += start - ready;
         }
 
         if (cost) {

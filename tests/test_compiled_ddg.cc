@@ -2,13 +2,13 @@
  * @file
  * CompiledDdg equivalence suite: on every baseline design the replay
  * index (sim/compiled_ddg.hh) must take the recorded Ddg over
- * unchanged, add the reverse CSR of its deps, and resolve every
- * design-dependent column to the value the record and the design
- * imply. It must also stand alone: an index whose executor and record
- * are gone replays, profiles and diagnoses hangs exactly like a direct
- * run. The Parallel suite
- * exercises the shared-replay contract (one immutable index, many
- * concurrent RunContexts) under TSan in CI.
+ * unchanged, add the reverse CSR of its deps, and resolve its node,
+ * task, structure and invocation tables to the values the record and
+ * the design imply. It must also stand alone: an index whose executor
+ * and record are gone replays, profiles and diagnoses hangs exactly
+ * like a direct run. The Parallel suite exercises the shared-replay
+ * contract (one immutable index, many concurrent RunContexts) under
+ * TSan in CI.
  */
 #include <gtest/gtest.h>
 
@@ -75,22 +75,19 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
         EXPECT_GT(cd.bytes(), sim::ddgBytes(cd)) << name;
         EXPECT_GT(sim::ddgBytes(ddg), 0u) << name;
 
-        // The record's columns are taken over unchanged; compileDdg
-        // only adds the straddle bit to flags.
+        // The record's columns are taken over unchanged.
         EXPECT_EQ(cd.depStart, ddg.depStart) << name;
         EXPECT_EQ(cd.deps, ddg.deps) << name;
         EXPECT_EQ(cd.memDepBits, ddg.memDepBits) << name;
         EXPECT_EQ(cd.addr, ddg.addr) << name;
         EXPECT_EQ(cd.words, ddg.words) << name;
+        EXPECT_EQ(cd.flags, ddg.flags) << name;
         EXPECT_EQ(cd.queueDep, ddg.queueDep) << name;
         EXPECT_EQ(cd.invocation, ddg.invocation) << name;
         EXPECT_EQ(cd.nodeOf, ddg.nodeOf) << name;
         EXPECT_EQ(cd.invTask, ddg.invTask) << name;
         EXPECT_EQ(cd.invSeq, ddg.invSeq) << name;
         EXPECT_EQ(cd.nodes, ddg.nodes) << name;
-        for (uint32_t e = 0; e < cd.numEvents; ++e)
-            ASSERT_EQ(cd.flags[e] & ~sim::kEvStraddle, ddg.flags[e])
-                << name << " event " << e;
 
         // Every dep points backwards; memory-only bits sit on deps
         // into loads or stores only; the queue dep is one of the deps.
@@ -151,76 +148,96 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
 
 TEST(CompiledDdg, PackedAttributesMatchBuilderEvents)
 {
-    // Each design-resolved column against the value recomputed from
-    // the record and the design.
+    // Each design table against the values recomputed from the design,
+    // and every event's node against its invocation's task.
     for (const std::string name :
          {"gemm", "saxpy", "fib", "msort", "spmv"}) {
         Recorded r = record(name);
         const sim::Ddg &ddg = r.ddg();
         sim::CompiledDdg cd = sim::compileDdg(*r.accel, ddg);
 
-        std::vector<std::pair<uint32_t, uint32_t>> slot_owner(
-            cd.initSlots, {sim::kNoId32, 0});
+        // Tasks: one per design task, each tile with its own read
+        // then write junction ports, packed from slot 0.
+        ASSERT_EQ(cd.tasks.size(), r.accel->tasks().size()) << name;
+        uint32_t port = 0;
+        for (size_t t = 0; t < cd.tasks.size(); ++t) {
+            const uir::Task &task = *r.accel->tasks()[t];
+            const sim::CompiledTask &ct = cd.tasks[t];
+            ASSERT_EQ(ct.task, &task) << name;
+            EXPECT_EQ(ct.tiles, std::max(1u, task.numTiles())) << name;
+            EXPECT_EQ(ct.readPorts,
+                      std::max(1u, task.junctionReadPorts()))
+                << name;
+            EXPECT_EQ(ct.writePorts,
+                      std::max(1u, task.junctionWritePorts()))
+                << name;
+            EXPECT_EQ(ct.junctionBase, port) << name;
+            port += ct.tiles * (ct.readPorts + ct.writePorts);
+        }
+
+        // Structures: the design's bank geometry, bank ports packed
+        // after the junctions.
+        ASSERT_EQ(cd.structs.size(), r.accel->structures().size())
+            << name;
+        for (size_t i = 0; i < cd.structs.size(); ++i) {
+            const uir::Structure &s = *r.accel->structures()[i];
+            const sim::CompiledStruct &cs = cd.structs[i];
+            ASSERT_EQ(cs.s, &s) << name;
+            EXPECT_EQ(cs.banks, s.banks()) << name;
+            EXPECT_EQ(cs.wideWords, std::max(1u, s.wideWords())) << name;
+            EXPECT_EQ(cs.portBase, port) << name;
+            port += s.banks() * s.portsPerBank();
+        }
+        EXPECT_EQ(cd.portSlots, port) << name;
+
+        // Nodes: static timing, task, the structure of a memory node,
+        // and one in-order-initiation slot per (node, tile).
+        ASSERT_EQ(cd.nodeInfo.size(), ddg.nodes.size()) << name;
+        uint32_t slot = 0;
+        for (size_t nid = 0; nid < cd.nodeInfo.size(); ++nid) {
+            const uir::Node &node = *ddg.nodes[nid];
+            const sim::CompiledNode &cn = cd.nodeInfo[nid];
+            ASSERT_EQ(cn.task, node.parent()->id()) << name;
+            EXPECT_EQ(cn.latency, uir::nodeLatency(node)) << name;
+            EXPECT_EQ(cn.initInterval, uir::nodeInitiationInterval(node))
+                << name;
+            EXPECT_EQ(cn.slotBase, slot) << name;
+            slot += cd.tasks[cn.task].tiles;
+            bool mem = node.kind() == uir::NodeKind::Load ||
+                       node.kind() == uir::NodeKind::Store;
+            if (!mem) {
+                EXPECT_EQ(cn.structure, sim::kNoId16) << name;
+                continue;
+            }
+            ASSERT_LT(cn.structure, cd.structs.size()) << name;
+            EXPECT_EQ(cd.structs[cn.structure].s,
+                      r.accel->structureForSpace(node.memSpace()))
+                << name;
+        }
+        EXPECT_EQ(cd.initSlots, slot) << name;
+
+        // Invocations: the round-robin tile.
+        ASSERT_EQ(cd.invTile.size(), cd.numInvocations) << name;
+        for (uint32_t i = 0; i < cd.numInvocations; ++i)
+            ASSERT_EQ(cd.invTile[i],
+                      ddg.invSeq[i] % cd.tasks[ddg.invTask[i]].tiles)
+                << name << " invocation " << i;
+
+        // Events: a fired node belongs to its invocation's task, and
+        // only load and store nodes make memory accesses.
         for (uint32_t e = 0; e < cd.numEvents; ++e) {
             if (ddg.flags[e] & sim::kEvCompletion) {
                 ASSERT_EQ(ddg.nodeOf[e], sim::kNoId32) << name;
-                ASSERT_EQ(cd.taskOf[e], sim::kNoId16) << name;
-                ASSERT_EQ(cd.initSlot[e], sim::kNoId32) << name;
-                ASSERT_EQ(cd.structOf[e], sim::kNoId16) << name;
                 continue;
             }
             ASSERT_LT(ddg.nodeOf[e], ddg.nodes.size()) << name;
-            const uir::Node &node = *ddg.nodes[ddg.nodeOf[e]];
-            const uir::Task &task = *node.parent();
-            unsigned tiles = std::max(1u, task.numTiles());
-            uint32_t tile = ddg.invSeq[ddg.invocation[e]] % tiles;
-            ASSERT_EQ(ddg.invTask[ddg.invocation[e]], task.id()) << name;
-            ASSERT_EQ(cd.taskOf[e], task.id()) << name;
-            ASSERT_EQ(cd.tasks[cd.taskOf[e]].task, &task) << name;
-            ASSERT_EQ(cd.tile[e], tile) << name << " event " << e;
-            ASSERT_EQ(cd.latency[e], uir::nodeLatency(node)) << name;
-            ASSERT_EQ(cd.initInterval[e],
-                      uir::nodeInitiationInterval(node))
-                << name;
-            // One in-order-initiation slot per (node, tile).
-            ASSERT_LT(cd.initSlot[e], cd.initSlots) << name;
-            auto owner = std::make_pair(ddg.nodeOf[e], tile);
-            if (slot_owner[cd.initSlot[e]].first == sim::kNoId32)
-                slot_owner[cd.initSlot[e]] = owner;
-            ASSERT_EQ(slot_owner[cd.initSlot[e]], owner)
+            const sim::CompiledNode &cn = cd.nodeInfo[ddg.nodeOf[e]];
+            ASSERT_EQ(cn.task, ddg.invTask[ddg.invocation[e]])
                 << name << " event " << e;
-
-            bool load = ddg.flags[e] & sim::kEvLoad;
-            if (!load && !(ddg.flags[e] & sim::kEvStore)) {
-                ASSERT_EQ(cd.structOf[e], sim::kNoId16) << name;
-                ASSERT_FALSE(cd.flags[e] & sim::kEvStraddle) << name;
-                continue;
+            if (ddg.flags[e] & (sim::kEvLoad | sim::kEvStore)) {
+                ASSERT_NE(cn.structure, sim::kNoId16)
+                    << name << " event " << e;
             }
-            ASSERT_NE(cd.structOf[e], sim::kNoId16) << name;
-            const sim::CompiledStruct &cs = cd.structs[cd.structOf[e]];
-            const uir::Structure *s = cs.s;
-            ASSERT_EQ(s, r.accel->structureForSpace(node.memSpace()))
-                << name;
-            uint64_t addr = ddg.addr[e];
-            unsigned words = ddg.words[e];
-            unsigned wide = std::max(1u, s->wideWords());
-            ASSERT_EQ(unsigned(cd.beats[e]),
-                      (std::max(1u, words) + wide - 1) / wide)
-                << name;
-            uint64_t bank = cs.isCache ? addr / s->lineBytes()
-                                       : addr / 4 / wide;
-            ASSERT_EQ(cd.bankPortBase[e],
-                      cs.portBase + (bank % s->banks()) * s->portsPerBank())
-                << name << " event " << e;
-            ASSERT_EQ(cd.junctionPorts[e],
-                      std::max(1u, load ? task.junctionReadPorts()
-                                        : task.junctionWritePorts()))
-                << name;
-            bool straddle = cs.isCache && words > 1 &&
-                            addr / s->lineBytes() !=
-                                (addr + words * 4 - 1) / s->lineBytes();
-            ASSERT_EQ(bool(cd.flags[e] & sim::kEvStraddle), straddle)
-                << name << " event " << e;
         }
     }
 }

@@ -15,6 +15,8 @@
 #include "support/strings.hh"
 #include "uir/printer.hh"
 #include "uir/verifier.hh"
+#include "workloads/driver.hh"
+#include "workloads/workload.hh"
 
 namespace muir
 {
@@ -323,6 +325,18 @@ TEST(Frontend, PredicatedStoresInSpawnBody)
     auto data = mem.readInts(out);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(data[i], i % 2 == 0 ? 7 : 9);
+}
+
+TEST(Frontend, SiblingLoopTasksNumberedInProgramOrder)
+{
+    // Sibling loops become tasks in program order, not in the order
+    // their loop objects happen to sit in memory.
+    workloads::Workload w = workloads::buildWorkload("softm8");
+    auto accel = workloads::lowerBaseline(w);
+    const uir::Task *exp = accel->taskByName("softmax.exp.header");
+    const uir::Task *div = accel->taskByName("softmax.div.header");
+    ASSERT_TRUE(exp && div);
+    EXPECT_LT(exp->id(), div->id());
 }
 
 TEST(Frontend, GraphPrinterRendersTasks)
