@@ -13,21 +13,16 @@
  * loop must leave every hash unchanged; a deliberate output change
  * re-captures the table from the failure messages, which print the
  * observed hash for every key.
- *
- * The profile is hashed in its deterministic form. Its critical-path
- * ranking breaks cycle ties by task id, and lowering can number
- * sibling loop tasks in a different order from one process to the
- * next, so tied entries are put in (task, node) name order first.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <string>
 
 #include "race_fixtures.hh"
+#include "sim/compiled_ddg.hh"
 #include "sim/conflict.hh"
 #include "sim/exec.hh"
 #include "sim/fault.hh"
@@ -57,31 +52,31 @@ const std::map<std::string, uint64_t> &
 pinnedHashes()
 {
     static const std::map<std::string, uint64_t> pins = {
-        {"2mm.profile", 0x0c218dfe87ddde85ull},
+        {"2mm.profile", 0x53e2a3b92e49a835ull},
         {"2mm.timeline", 0x4f1b552ac31828e3ull},
         {"2mm.trace", 0xd2f23624b1d9ba9eull},
-        {"2mm_t.profile", 0x4db6698efd247c51ull},
+        {"2mm_t.profile", 0xaf4ee53b3441997full},
         {"2mm_t.timeline", 0x893060642c537887ull},
         {"2mm_t.trace", 0x6a7e01d402393ca5ull},
-        {"3mm.profile", 0x919db330688af024ull},
+        {"3mm.profile", 0x1f7b6e8eb814a10eull},
         {"3mm.timeline", 0xc312a3a60de49595ull},
         {"3mm.trace", 0x16fd4648851646efull},
-        {"conv.profile", 0x11f7666fe6059396ull},
+        {"conv.profile", 0xb5d51903815fccf4ull},
         {"conv.timeline", 0xb39502efe14bf55full},
         {"conv.trace", 0x780bf57a1d5fb0bcull},
-        {"conv_t.profile", 0x968fbbd0cb757264ull},
+        {"conv_t.profile", 0xe68fcec8ebe96628ull},
         {"conv_t.timeline", 0x82ff648114f0a0e3ull},
         {"conv_t.trace", 0x16b3968148ce83f4ull},
-        {"covar.profile", 0x2f8334ca1751c06eull},
+        {"covar.profile", 0x59ff55e1076b2008ull},
         {"covar.timeline", 0xe7c47d369da478e3ull},
         {"covar.trace", 0x1bf315fdca20c0dbull},
-        {"dense16.profile", 0x8dd98a9f80d4e272ull},
+        {"dense16.profile", 0x0dce6d4e4421efc0ull},
         {"dense16.timeline", 0xbc7edef6466a0aeeull},
         {"dense16.trace", 0x0939050485c6e06eull},
-        {"dense8.profile", 0x72b795a1d1ac880aull},
+        {"dense8.profile", 0x20805f2e7db87888ull},
         {"dense8.timeline", 0x281694d789d03797ull},
         {"dense8.trace", 0x4d2fb2890fbfbba4ull},
-        {"fft.profile", 0x2635556a0ef994dcull},
+        {"fft.profile", 0x4dfb5c6e10ba6956ull},
         {"fft.timeline", 0x0fa005078a8df20full},
         {"fft.trace", 0x99e3ed933143c6a7ull},
         {"fib.dataflip", 0x6dd44f2fce2a4e71ull},
@@ -90,7 +85,7 @@ pinnedHashes()
         {"fib.lostsync", 0xe872335d5a848c4aull},
         {"fib.memflip", 0xa4e839061df67981ull},
         {"fib.mix", 0xd0893757957678e6ull},
-        {"fib.profile", 0x46ea3393f003f07eull},
+        {"fib.profile", 0x2ca2bf1608be76c0ull},
         {"fib.stuckvalid", 0x5175fca6d484070dull},
         {"fib.timeline", 0xa271fbb2b1795609ull},
         {"fib.tokendrop", 0x0bc593595cc17379ull},
@@ -102,28 +97,28 @@ pinnedHashes()
         {"gemm.lostsync", 0x1927ca67c0838937ull},
         {"gemm.memflip", 0xb4bf40d3f9b847b0ull},
         {"gemm.mix", 0x3455c217b4cb02f7ull},
-        {"gemm.profile", 0x3a1e35f2f96d1432ull},
+        {"gemm.profile", 0x65ba3e2c381cc1d4ull},
         {"gemm.stuckvalid", 0x7c5449aabb88aadeull},
         {"gemm.timeline", 0x8d2f73eae9cafc42ull},
         {"gemm.tokendrop", 0x6a166fb789c545cfull},
         {"gemm.tokendup", 0x45cf992370577ae3ull},
         {"gemm.trace", 0x682e0604d069a040ull},
-        {"img_scale.profile", 0x18707447c491cbc2ull},
+        {"img_scale.profile", 0x9072280b671b00faull},
         {"img_scale.timeline", 0x22a5a65d20ea89f9ull},
         {"img_scale.trace", 0xac3531bdee396c9dull},
-        {"msort.profile", 0xc68f1b58dd8597c0ull},
+        {"msort.profile", 0x3651334ce7bdcc04ull},
         {"msort.timeline", 0x5a5e5613c8d920c6ull},
         {"msort.trace", 0x58700affc2e13529ull},
         {"race.private_slot.conflicts", 0xcbf29ce484222325ull},
         {"race.same_slot.conflicts", 0xed1290d8cb1784fbull},
-        {"relu.profile", 0x07636ad6c6be1eceull},
+        {"relu.profile", 0x81c8c154ea8daaa2ull},
         {"relu.timeline", 0x2c7004a9aaaa3918ull},
         {"relu.trace", 0x17bdf369c928a75cull},
-        {"relu_t.profile", 0xa8ebdf189dfbbf7dull},
+        {"relu_t.profile", 0x2da5a77069376ad7ull},
         {"relu_t.straddle", 0x80e790a3b6b0f8a7ull},
         {"relu_t.timeline", 0x99f0e746a6d78f65ull},
         {"relu_t.trace", 0x305d86b06cf582feull},
-        {"rgb2yuv.profile", 0x500d9053259ce241ull},
+        {"rgb2yuv.profile", 0xd128e6c60be98df3ull},
         {"rgb2yuv.timeline", 0x92691069e7c1015cull},
         {"rgb2yuv.trace", 0xaf171e1a390219deull},
         {"saxpy.dataflip", 0x367ee9a039843d6bull},
@@ -132,23 +127,23 @@ pinnedHashes()
         {"saxpy.lostsync", 0x1458d298043fcf12ull},
         {"saxpy.memflip", 0x27200e0e9472409aull},
         {"saxpy.mix", 0x24c575bfcf2b594cull},
-        {"saxpy.profile", 0x5a21bc89a3d1020aull},
+        {"saxpy.profile", 0xe18c3f0bbc9f365cull},
         {"saxpy.stuckvalid", 0x550fa17130927abbull},
         {"saxpy.timeline", 0x75b1718393a04c34ull},
         {"saxpy.tokendrop", 0x9d94128bf9dfd377ull},
         {"saxpy.tokendrop.diagnosis", 0x7669c2b630a73d1full},
         {"saxpy.tokendup", 0xd9f3115c9c03a453ull},
         {"saxpy.trace", 0xd15c7644a28cddf4ull},
-        {"softm16.profile", 0x80407230af2eb657ull},
+        {"softm16.profile", 0x262a08eea5ff80a3ull},
         {"softm16.timeline", 0x1f57100f2b95f132ull},
         {"softm16.trace", 0xccf5321e67966541ull},
-        {"softm8.profile", 0x6547008b7915c3f9ull},
+        {"softm8.profile", 0x7734e987f8d4b371ull},
         {"softm8.timeline", 0x3160e59072876d4cull},
         {"softm8.trace", 0xc152dc5161fe4a6eull},
-        {"spmv.profile", 0x7140306f554979edull},
+        {"spmv.profile", 0x3449e5fb9c5af5d5ull},
         {"spmv.timeline", 0x6a8d531d41368e5cull},
         {"spmv.trace", 0x293e867718a8ccdaull},
-        {"stencil.profile", 0xbd7a23dfdadb578cull},
+        {"stencil.profile", 0x9543292ca77b2c86ull},
         {"stencil.timeline", 0x9a4124f73e1fe83aull},
         {"stencil.trace", 0x9ea8567c4d7b09fbull},
     };
@@ -169,24 +164,6 @@ expectPinned(const std::string &key, const std::string &text)
         return;
     }
     EXPECT_EQ(h, it->second) << "observed " << captured;
-}
-
-/** The profile JSON with critical-path ties in name order. */
-std::string
-deterministicProfileJson(sim::ProfileResult profile)
-{
-    std::stable_sort(
-        profile.criticalPath.begin(), profile.criticalPath.end(),
-        [](const sim::CritPathEntry &a, const sim::CritPathEntry &b) {
-            if (a.cycles != b.cycles)
-                return a.cycles > b.cycles;
-            const std::string &ta = a.node->parent()->name();
-            const std::string &tb = b.node->parent()->name();
-            if (ta != tb)
-                return ta < tb;
-            return a.node->name() < b.node->name();
-        });
-    return sim::profileJson(profile);
 }
 
 sim::CampaignResult
@@ -222,7 +199,7 @@ TEST(OutputPins, ProfileTimelineAndTraceOnEveryBaseline)
         ASSERT_TRUE(run.profile && run.timeline && run.profileData)
             << name;
         expectPinned(name + ".profile",
-                     deterministicProfileJson(*run.profile));
+                     sim::profileJson(*run.profile));
         expectPinned(name + ".timeline",
                      sim::timelineJson(*run.timeline));
         expectPinned(name + ".trace",
@@ -278,7 +255,8 @@ TEST(OutputPins, ConflictsOnRaceFixtures)
         sim::UirExecutor exec(*accel, mem);
         exec.run({});
         std::string text;
-        for (const sim::MemConflict &c : sim::findConflicts(exec.ddg()))
+        for (const sim::MemConflict &c :
+             sim::findConflicts(sim::compileDdg(*accel, exec.takeDdg())))
             text += fmt("%llu %llu %s %s 0x%llx\n",
                         static_cast<unsigned long long>(c.first),
                         static_cast<unsigned long long>(c.second),
