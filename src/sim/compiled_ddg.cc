@@ -14,6 +14,96 @@ namespace muir::sim
 namespace
 {
 
+/**
+ * Derives the window deps of a record's events, one call per event in
+ * id order, from per-task lists of the completions and loop hand-offs
+ * seen so far.
+ */
+class WindowDeps
+{
+  public:
+    explicit WindowDeps(const CompiledDdg &cd)
+        : cd_(cd), tasks_(cd.tasks.size()), seq_(cd.numInvocations)
+    {
+        std::vector<uint32_t> begun(cd.tasks.size(), 0);
+        for (uint32_t i = 0; i < cd.numInvocations; ++i)
+            seq_[i] = begun[cd.invTask[i]]++;
+    }
+
+    /** Sequence number of invocation @p inv within its task. */
+    uint32_t seq(uint32_t inv) const { return seq_[inv]; }
+
+    /** The window dep of event @p id (kNoId32 if none). */
+    uint32_t
+    next(uint32_t id)
+    {
+        const uint8_t fl = cd_.flags[id];
+        if (fl & kEvCompletion) {
+            if (fl & kEvDone)
+                complete(id, cd_.invocation[id]);
+            return kNoId32;
+        }
+        const uir::Node &node = *cd_.nodes[cd_.nodeOf[id]];
+        if (fl & kEvDispatch) {
+            // At most queueWindow() invocations of the callee in
+            // flight: the dispatch made after k completions waits for
+            // completion k - window.
+            const uir::Task &callee = *node.callee();
+            const auto &done = tasks_[callee.id()].completions;
+            const uint64_t window = callee.queueWindow();
+            return done.size() >= window ? done[done.size() - window]
+                                         : kNoId32;
+        }
+        if (node.kind() != uir::NodeKind::LoopControl)
+            return kNoId32;
+        // One loop instance per tile's loop control: the first firing
+        // of invocation s waits for invocation s - tiles's hand-off.
+        const uint32_t inv = cd_.invocation[id];
+        TaskState &t = tasks_[cd_.invTask[inv]];
+        const bool first = t.lcLast == kNoId32;
+        t.lcPrev = t.lcLast;
+        t.lcLast = id;
+        const uint32_t s = seq_[inv];
+        const uint32_t tiles = cd_.tasks[cd_.invTask[inv]].tiles;
+        if (!first || s < tiles)
+            return kNoId32;
+        muir_assert(s - tiles < t.handoffs.size(),
+                    "loop invocation order violated");
+        return t.handoffs[s - tiles];
+    }
+
+  private:
+    struct TaskState
+    {
+        /** Completion events, in completion order. */
+        std::vector<uint32_t> completions;
+        /** Hand-off event per exited loop invocation, by sequence. */
+        std::vector<uint32_t> handoffs;
+        /** The running loop invocation's last two control firings. */
+        uint32_t lcLast = kNoId32;
+        uint32_t lcPrev = kNoId32;
+    };
+
+    void
+    complete(uint32_t id, uint32_t inv)
+    {
+        TaskState &t = tasks_[cd_.invTask[inv]];
+        t.completions.push_back(id);
+        if (t.lcLast == kNoId32)
+            return; // Not a loop invocation.
+        // The last iteration's control issue hands the tile over (the
+        // failing exit check shares the drain with the successor).
+        muir_assert(t.handoffs.size() == seq_[inv],
+                    "loop invocation order violated");
+        t.handoffs.push_back(t.lcPrev != kNoId32 ? t.lcPrev : t.lcLast);
+        t.lcLast = t.lcPrev = kNoId32;
+    }
+
+    const CompiledDdg &cd_;
+    std::vector<TaskState> tasks_;
+    std::vector<uint32_t> seq_;
+};
+
 CompiledDdg
 compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
 {
@@ -24,8 +114,7 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
     // A moved-in record keeps its growth slack; a copy has none.
     auto fit = [](auto &...cols) { (cols.shrink_to_fit(), ...); };
     fit(cd.depStart, cd.deps, cd.memDepBits, cd.addr, cd.words, cd.flags,
-        cd.queueDep, cd.invocation, cd.nodeOf, cd.invTask, cd.invSeq,
-        cd.nodes);
+        cd.invocation, cd.nodeOf, cd.invTask, cd.nodes);
 
     // ---- design tables: task / structure / node / invocation -------
     uint32_t port_cursor = 0;
@@ -90,25 +179,45 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
     }
     cd.initSlots = slot_cursor;
 
+    WindowDeps windows(cd);
     cd.invTile.resize(cd.numInvocations);
     for (uint32_t i = 0; i < cd.numInvocations; ++i)
-        cd.invTile[i] = cd.invSeq[i] % cd.tasks[cd.invTask[i]].tiles;
+        cd.invTile[i] = windows.seq(i) % cd.tasks[cd.invTask[i]].tiles;
 
-    // ---- dependents CSR (consumer ids ascending per producer) ------
-    const uint32_t num_deps = static_cast<uint32_t>(cd.deps.size());
+    // ---- window deps + dependents CSR (consumers ascending) --------
+    // One pass in id order derives each window dep and counts the
+    // dependents of every input; a window dep that is already a record
+    // dep is dropped. A second pass fills the CSR.
+    cd.windowDep.assign(n, kNoId32);
     cd.depdStart.assign(n + 1, 0);
-    for (uint32_t k = 0; k < num_deps; ++k)
-        ++cd.depdStart[cd.deps[k] + 1];
+    uint64_t num_edges = cd.deps.size();
+    for (uint32_t id = 0; id < n; ++id) {
+        const auto first = cd.deps.begin() + cd.depStart[id];
+        const auto last = cd.deps.begin() + cd.depStart[id + 1];
+        for (auto it = first; it != last; ++it)
+            ++cd.depdStart[*it + 1];
+        const uint32_t w = windows.next(id);
+        if (w != kNoId32 && std::find(first, last, w) == last) {
+            cd.windowDep[id] = w;
+            ++cd.depdStart[w + 1];
+            ++num_edges;
+        }
+    }
+    muir_assert(num_edges < kNoId32,
+                "compileDdg: inputs exceed the 32-bit CSR space");
     for (uint32_t i = 1; i <= n; ++i)
         cd.depdStart[i] += cd.depdStart[i - 1];
-    cd.dependents.resize(num_deps);
+    cd.dependents.resize(num_edges);
     {
         std::vector<uint32_t> cursor(cd.depdStart.begin(),
                                      cd.depdStart.end() - 1);
-        for (uint32_t id = 0; id < n; ++id)
+        for (uint32_t id = 0; id < n; ++id) {
             for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1];
                  ++k)
                 cd.dependents[cursor[cd.deps[k]]++] = id;
+            if (cd.windowDep[id] != kNoId32)
+                cd.dependents[cursor[cd.windowDep[id]]++] = id;
+        }
     }
     return cd;
 }
@@ -144,17 +253,17 @@ ddgBytes(const Ddg &ddg)
     return vecBytes(ddg.depStart) + vecBytes(ddg.deps) +
            vecBytes(ddg.memDepBits) + vecBytes(ddg.addr) +
            vecBytes(ddg.words) + vecBytes(ddg.flags) +
-           vecBytes(ddg.queueDep) + vecBytes(ddg.invocation) +
-           vecBytes(ddg.nodeOf) + vecBytes(ddg.invTask) +
-           vecBytes(ddg.invSeq) + vecBytes(ddg.nodes);
+           vecBytes(ddg.invocation) + vecBytes(ddg.nodeOf) +
+           vecBytes(ddg.invTask) + vecBytes(ddg.nodes);
 }
 
 size_t
 CompiledDdg::bytes() const
 {
-    size_t total = ddgBytes(*this) + vecBytes(depdStart) +
-                   vecBytes(dependents) + vecBytes(nodeInfo) +
-                   vecBytes(structs) + vecBytes(invTile);
+    size_t total = ddgBytes(*this) + vecBytes(windowDep) +
+                   vecBytes(depdStart) + vecBytes(dependents) +
+                   vecBytes(nodeInfo) + vecBytes(structs) +
+                   vecBytes(invTile);
     total += tasks.capacity() * sizeof(CompiledTask);
     for (const auto &t : tasks)
         total += t.statPrefix.capacity();

@@ -6,14 +6,27 @@
  * A `CompiledDdg` is the flat record (sim/ddg.hh), whose columns it
  * takes over unchanged, plus
  *
- *  - the dependents CSR (the reverse of the record's deps CSR), built
- *    once instead of on every replay, and the only per-event data
- *    compiling adds;
+ *  - the window deps: the dep the design's task queues and tiles add
+ *    to an event, at most one per event. The record holds none of
+ *    them, so it serves every queue depth and tile count:
+ *     - a dispatch of task C waits for the completion that frees a
+ *       slot of C's queue window (uir::Task::queueWindow()), counted
+ *       in completion order;
+ *     - a loop invocation's first loop-control firing waits for the
+ *       invocation `tiles` earlier to hand off the tile's loop
+ *       control at its last iteration (its exit check if it ran no
+ *       iteration);
+ *  - the dependents CSR (the reverse of the record's deps and the
+ *    window deps), built once instead of on every replay;
  *  - small design tables the replay looks up per event: per record
  *    node its in-order-initiation slot base, static latency /
  *    initiation interval, task and structure; per task its tiles and
  *    junction port range; per structure its bank geometry; and per
  *    invocation its round-robin tile.
+ *
+ * An event's inputs are its record deps, then its window dep (see
+ * numInputs()/input()); the replay, μprof, hang diagnosis, μfit's edge
+ * ordinals and the conflict observer all read them in that order.
  *
  * The replay derives the rest per event from the record's columns and
  * these tables: the slot (node base + tile), the junction ports, the
@@ -125,6 +138,10 @@ struct CompiledNode
  */
 struct CompiledDdg : Ddg
 {
+    /** The window dep of each event (see the file comment); kNoId32
+     *  when it has none or the dep is already a record dep. */
+    std::vector<uint32_t> windowDep;
+
     /** dependents of event e: dependents[depdStart[e] ..
      *  depdStart[e+1]), ascending by consumer id. */
     std::vector<uint32_t> depdStart;
@@ -137,8 +154,8 @@ struct CompiledDdg : Ddg
     std::vector<CompiledTask> tasks;
     /** Indexed by structure id (CompiledNode::structure). */
     std::vector<CompiledStruct> structs;
-    /** Indexed by invocation: its round-robin tile, invSeq mod the
-     *  task's tiles. */
+    /** Indexed by invocation: its round-robin tile, its sequence
+     *  number within its task mod the task's tiles. */
     std::vector<uint32_t> invTile;
     /** @} */
 
@@ -153,6 +170,29 @@ struct CompiledDdg : Ddg
 
     /** Total heap bytes behind the flat arrays (layout accounting). */
     size_t bytes() const;
+
+    /** Inputs of event @p e: its record deps, then its window dep. */
+    uint32_t
+    numInputs(uint32_t e) const
+    {
+        return depStart[e + 1] - depStart[e] + (windowDep[e] != kNoId32);
+    }
+
+    /** Input @p k of event @p e, in numInputs() order. */
+    uint32_t
+    input(uint32_t e, uint32_t k) const
+    {
+        uint32_t i = depStart[e] + k;
+        return i < depStart[e + 1] ? deps[i] : windowDep[e];
+    }
+
+    /** The queue-slot dep of a dispatch (μprof's "queue full" wait);
+     *  kNoId32 for any other event. */
+    uint32_t
+    queueSlotDep(uint32_t e) const
+    {
+        return (flags[e] & kEvDispatch) ? windowDep[e] : kNoId32;
+    }
 };
 
 /**

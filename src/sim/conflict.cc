@@ -11,12 +11,12 @@ namespace
 {
 
 /**
- * Is `from` reachable backward to `to` over non-memory dependence
- * edges? Every dep references an earlier id, so the search only
- * visits ids in (to, from], pruning anything below the target.
+ * Is `from` reachable backward to `to` over non-memory inputs? Every
+ * input references an earlier id, so the search only visits ids in
+ * (to, from], pruning anything below the target.
  */
 bool
-happensBefore(const Ddg &ddg, uint32_t to, uint32_t from)
+happensBefore(const CompiledDdg &cd, uint32_t to, uint32_t from)
 {
     std::vector<uint32_t> stack{from};
     std::set<uint32_t> seen;
@@ -27,12 +27,14 @@ happensBefore(const Ddg &ddg, uint32_t to, uint32_t from)
             return true;
         if (id < to || !seen.insert(id).second)
             continue;
-        for (uint32_t k = ddg.depStart[id]; k < ddg.depStart[id + 1];
+        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1];
              ++k) {
-            if (ddg.isMemDep(k))
+            if (cd.isMemDep(k))
                 continue; // Ordered only by the memory system.
-            stack.push_back(ddg.deps[k]);
+            stack.push_back(cd.deps[k]);
         }
+        if (cd.windowDep[id] != kNoId32)
+            stack.push_back(cd.windowDep[id]);
     }
     return false;
 }
@@ -40,18 +42,18 @@ happensBefore(const Ddg &ddg, uint32_t to, uint32_t from)
 } // namespace
 
 std::vector<MemConflict>
-findConflicts(const Ddg &ddg, size_t max_conflicts)
+findConflicts(const CompiledDdg &cd, size_t max_conflicts)
 {
     std::vector<MemConflict> conflicts;
-    auto isStore = [&](uint32_t id) { return ddg.flags[id] & kEvStore; };
+    auto isStore = [&](uint32_t id) { return cd.flags[id] & kEvStore; };
 
     // Accesses per 4-byte word, in record order.
     std::map<uint64_t, std::vector<uint32_t>> by_word;
-    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
-        if (!(ddg.flags[id] & (kEvLoad | kEvStore)))
+    for (uint32_t id = 0; id < cd.numEvents; ++id) {
+        if (!(cd.flags[id] & (kEvLoad | kEvStore)))
             continue;
-        for (unsigned w = 0; w < std::max<unsigned>(1, ddg.words[id]); ++w)
-            by_word[(ddg.addr[id] & ~uint64_t(3)) + w * 4].push_back(id);
+        for (unsigned w = 0; w < std::max<unsigned>(1, cd.words[id]); ++w)
+            by_word[(cd.addr[id] & ~uint64_t(3)) + w * 4].push_back(id);
     }
 
     std::set<std::pair<uint32_t, uint32_t>> reported;
@@ -66,13 +68,13 @@ findConflicts(const Ddg &ddg, size_t max_conflicts)
                     continue;
                 if (!reported.emplace(a, b).second)
                     continue;
-                if (happensBefore(ddg, a, b))
+                if (happensBefore(cd, a, b))
                     continue;
                 MemConflict c;
                 c.first = a;
                 c.second = b;
-                c.firstNode = ddg.nodes[ddg.nodeOf[a]];
-                c.secondNode = ddg.nodes[ddg.nodeOf[b]];
+                c.firstNode = cd.nodes[cd.nodeOf[a]];
+                c.secondNode = cd.nodes[cd.nodeOf[b]];
                 c.addr = word;
                 conflicts.push_back(c);
             }

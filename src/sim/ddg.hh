@@ -7,12 +7,15 @@
  *
  * The record is flat and columnar: a CSR of 32-bit deps with one
  * memory-only bit per entry, one column per event attribute, and one
- * per invocation attribute. No column holds a latency, tile, port or
- * bank; the replay takes those from the design. The executor appends
- * to it directly, and compileDdg (sim/compiled_ddg.hh) takes the
- * columns over as they are, adding only the dependents CSR and small
+ * per invocation attribute. It depends only on the dataflow graph and
+ * its inputs: no column holds a latency, tile, port, bank, queue depth
+ * or tile count, and no dep exists because of one. The task-queue and
+ * loop hand-off windows those parameters impose are derived by
+ * compileDdg (sim/compiled_ddg.hh), which takes the columns over as
+ * they are and adds the window deps, the dependents CSR and small
  * per-node, per-task, per-structure and per-invocation tables, so a
- * DDG exists in this one form.
+ * DDG exists in this one form and one record serves every setting of
+ * those parameters.
  *
  * Invariant: every dependency references an earlier event id, so a
  * single linear pass in id order is a valid topological schedule.
@@ -44,12 +47,17 @@ enum : uint8_t
 {
     kEvLoad = 1u << 0,
     kEvStore = 1u << 1,
-    /** First non-completion event of its invocation (the one gated by
-     *  queue backpressure). */
+    /** First non-completion event of its invocation. */
     kEvEntry = 1u << 2,
     /** Synthetic event: an invocation's completion or a loop's
      *  carried-value latch. It has no node. */
     kEvCompletion = 1u << 3,
+    /** A ChildCall firing that dispatched an invocation of its callee
+     *  (one whose guard is off dispatches nothing). */
+    kEvDispatch = 1u << 4,
+    /** With kEvCompletion: the invocation's completion, not a
+     *  carried-value latch. */
+    kEvDone = 1u << 5,
 };
 
 /** The whole execution record, one column per attribute. */
@@ -75,24 +83,15 @@ struct Ddg
     std::vector<uint64_t> addr;
     std::vector<uint16_t> words;
     std::vector<uint8_t> flags;
-    /**
-     * When dispatch stalled on a full task queue, the dep (also
-     * present in deps) that frees the queue slot — the completion of
-     * invocation seq - queueDepth·tiles; kNoId32 otherwise. μprof uses
-     * it to attribute "queue full" wait cycles separately from operand
-     * waits.
-     */
-    std::vector<uint32_t> queueDep;
     std::vector<uint32_t> invocation;
     /** Dense node id (index into nodes); kNoId32 for completions. */
     std::vector<uint32_t> nodeOf;
     /** @} */
 
     /** @name Per-invocation columns @{ */
-    /** Task id (uir::Task::id(), its index in Accelerator::tasks()). */
+    /** Task id (uir::Task::id(), its index in Accelerator::tasks()).
+     *  Invocations are numbered in the order they begin. */
     std::vector<uint16_t> invTask;
-    /** Invocation sequence number within its task (for tile RR). */
-    std::vector<uint32_t> invSeq;
     /** @} */
 
     /** Dense node id -> live node. */
@@ -109,7 +108,7 @@ struct Ddg
     }
 
     /** Begin a new invocation; returns its index. */
-    uint32_t beginInvocation(uint16_t task, uint32_t seq);
+    uint32_t beginInvocation(uint16_t task);
 
     /**
      * Append one event of invocation @p inv and return its id.
@@ -122,8 +121,7 @@ struct Ddg
     uint32_t append(uint32_t inv, uint32_t node, uint8_t event_flags,
                     std::span<const uint64_t> event_deps, bool dedupe,
                     size_t mem_from = kNoMemDeps, uint64_t access_addr = 0,
-                    uint16_t access_words = 0,
-                    uint32_t queue_dep = kNoId32);
+                    uint16_t access_words = 0);
 
   private:
     /**

@@ -15,10 +15,9 @@ using uir::NodeKind;
 using uir::Task;
 
 uint32_t
-Ddg::beginInvocation(uint16_t task, uint32_t seq)
+Ddg::beginInvocation(uint16_t task)
 {
     invTask.push_back(task);
-    invSeq.push_back(seq);
     awaitingEntry_ = numInvocations;
     return numInvocations++;
 }
@@ -26,8 +25,7 @@ Ddg::beginInvocation(uint16_t task, uint32_t seq)
 uint32_t
 Ddg::append(uint32_t inv, uint32_t node, uint8_t event_flags,
             std::span<const uint64_t> event_deps, bool dedupe,
-            size_t mem_from, uint64_t access_addr, uint16_t access_words,
-            uint32_t queue_dep)
+            size_t mem_from, uint64_t access_addr, uint16_t access_words)
 {
     muir_assert(numEvents < kNoId32,
                 "DDG: events exceed the 32-bit id space");
@@ -58,7 +56,6 @@ Ddg::append(uint32_t inv, uint32_t node, uint8_t event_flags,
     addr.push_back(access_addr);
     words.push_back(access_words);
     flags.push_back(event_flags);
-    queueDep.push_back(queue_dep);
     invocation.push_back(inv);
     nodeOf.push_back(node);
     return numEvents++;
@@ -145,11 +142,11 @@ UirExecutor::guardOn(Ctx &ctx, const Node &node)
 
 uint64_t
 UirExecutor::emit(Ctx &ctx, const Node *node,
-                  std::span<const uint64_t> deps)
+                  std::span<const uint64_t> deps, uint8_t flags)
 {
     if (!record_)
         return kNoEvent;
-    return ddg_.append(ctx.inv, nodeId(ctx, *node), 0, deps,
+    return ddg_.append(ctx.inv, nodeId(ctx, *node), flags, deps,
                        /*dedupe=*/true);
 }
 
@@ -173,9 +170,8 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
 
     Ctx ctx;
     ctx.state = &tasks_[task.id()];
-    uint32_t my_seq = ctx.state->invocations++;
     ctx.inv = record_ ? ddg_.beginInvocation(
-                            static_cast<uint16_t>(task.id()), my_seq)
+                            static_cast<uint16_t>(task.id()))
                       : 0;
     ctx.vals.assign(ctx.state->idSlots, {});
     ctx.evs.assign(ctx.state->idSlots, kNoEvent);
@@ -229,18 +225,7 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
             carried_srcs.push_back(eventOf(ctx, lc->input(3 + k)));
         }
 
-        // Per-tile loop-control occupancy: the tile's φ/iv register set
-        // holds one loop instance, so invocation s must wait for
-        // invocation s - numTiles to hand off its loop control (at its
-        // last iteration issue).
         uint64_t prev_lc_event = kNoEvent;
-        if (record_) {
-            unsigned tiles = std::max(1u, task.numTiles());
-            if (my_seq >= tiles)
-                seed_deps.push_back(
-                    ctx.state->loopExits.at(my_seq - tiles));
-        }
-        uint64_t last_iter_lc = kNoEvent;
         while (iv < end) {
             // LoopControl fires: iv advances along the control-only
             // recurrence (prev control event), NOT the carried chain.
@@ -279,7 +264,6 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
                 carried_vals[k] = valueOf(ctx, next);
                 carried_srcs[k] = eventOf(ctx, next);
             }
-            last_iter_lc = lc_event;
             prev_lc_event = lc_event;
             iv += step;
         }
@@ -292,16 +276,6 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
         uint64_t exit_event = emit(ctx, lc, exit_deps);
         ++firings_;
         ctx.tail.push_back(exit_event);
-        if (record_) {
-            auto &exits = ctx.state->loopExits;
-            muir_assert(exits.size() == my_seq,
-                        "loop invocation order violated");
-            // Hand-off point for the next invocation on this tile: the
-            // last iteration's control issue (the failing check shares
-            // the drain with the successor).
-            exits.push_back(last_iter_lc != kNoEvent ? last_iter_lc
-                                                     : exit_event);
-        }
         ctx.lcCarried.clear();
         std::vector<RuntimeValue> final_outs;
         final_outs.push_back(RuntimeValue::makeInt(iv));
@@ -338,9 +312,8 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
         if (ctx.tail.empty() || ctx.tail.front() == kNoEvent)
             ctx.tail.assign(1, dispatch_event);
         result.completionEvent =
-            ddg_.append(ctx.inv, kNoId32, kEvCompletion, ctx.tail,
-                        /*dedupe=*/false);
-        ctx.state->completions.push_back(result.completionEvent);
+            ddg_.append(ctx.inv, kNoId32, kEvCompletion | kEvDone,
+                        ctx.tail, /*dedupe=*/false);
     }
     result.outstanding = std::move(ctx.outstanding);
     --depth_;
@@ -580,28 +553,8 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
             return;
         }
         // Dispatch event first so the child's entry can depend on it.
-        uint64_t dispatch = kNoEvent;
-        if (record_) {
-            // Task-queue backpressure (§4 Pass 1/2): at most
-            // queueDepth x tiles invocations of the callee in flight;
-            // dispatch stalls on the completion of the invocation that
-            // frees a queue slot.
-            const uir::Task *callee = node.callee();
-            const auto &done = tasks_[callee->id()].completions;
-            uint64_t window =
-                uint64_t(std::max(1u, callee->queueDepth())) *
-                std::max(1u, callee->numTiles());
-            uint64_t child_seq = done.size();
-            uint32_t queue_dep = kNoId32;
-            if (child_seq >= window) {
-                deps.push_back(done[child_seq - window]);
-                queue_dep =
-                    static_cast<uint32_t>(done[child_seq - window]);
-            }
-            dispatch = ddg_.append(ctx.inv, nodeId(ctx, node), 0, deps,
-                                   /*dedupe=*/true, kNoMemDeps, 0, 0,
-                                   queue_dep);
-        }
+        // The task-queue slot it waits for is compileDdg's to derive.
+        uint64_t dispatch = emit(ctx, &node, deps, kEvDispatch);
         std::vector<RuntimeValue> args;
         args.reserve(node.numInputs());
         for (const auto &ref : node.inputs())

@@ -6,7 +6,9 @@
  * values against a MemoryImage (validating that μopt transformations
  * preserve behaviour) while recording the dynamic dependence graph the
  * timing scheduler replays: data edges, loop-carried edges, spawn and
- * sync edges, and per-word memory RAW/WAW/WAR edges.
+ * sync edges, and per-word memory RAW/WAW/WAR edges. It reads no
+ * timing parameter of the design (queue depths, tiles, latencies), so
+ * the record depends only on the graph and its inputs.
  *
  * Recording appends straight into the flat record (sim/ddg.hh). The
  * state it needs is dense: per-task lists indexed by uir::Task::id(),
@@ -81,14 +83,6 @@ class UirExecutor
         unsigned idSlots = 0;
         /** Node id -> dense node id of the record (recording only). */
         std::vector<uint32_t> denseNode;
-        /** Invocations begun so far (the next one's sequence). */
-        uint32_t invocations = 0;
-        /** Completion event per invocation seq — used to add
-         *  task-queue backpressure edges on dispatch. */
-        std::vector<uint64_t> completions;
-        /** Final LoopControl event per loop invocation seq — used to
-         *  add per-tile loop-control occupancy edges. */
-        std::vector<uint64_t> loopExits;
     };
 
     /** Per-invocation evaluation state. */
@@ -123,10 +117,10 @@ class UirExecutor
     ir::RuntimeValue valueOf(Ctx &ctx, const uir::Node::PortRef &ref);
     uint64_t eventOf(Ctx &ctx, const uir::Node::PortRef &ref);
     bool guardOn(Ctx &ctx, const uir::Node &node);
-    /** Record a plain node firing: deduplicated deps, no attributes.
+    /** Record a node firing with deduplicated deps and no access.
      *  kNoEvent when not recording. */
     uint64_t emit(Ctx &ctx, const uir::Node *node,
-                  std::span<const uint64_t> deps);
+                  std::span<const uint64_t> deps, uint8_t flags = 0);
     /** Dense record id of a node of ctx's task. */
     uint32_t
     nodeId(const Ctx &ctx, const uir::Node &node) const

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <span>
 #include <sstream>
 
 #include "sim/simulator.hh"
@@ -270,7 +269,7 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
         return "<completion>";
     };
     auto edgeKind = [&](uint64_t id, uint64_t d) -> std::string {
-        if (cd.queueDep[id] != kNoId32 && d == cd.queueDep[id])
+        if (d == cd.queueSlotDep(id))
             return "queue";
         for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k)
             if (cd.deps[k] == d && cd.isMemDep(k))
@@ -279,11 +278,11 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
             return "spawn";
         return "data";
     };
-    // First dependency of @p id (recording order) still unfinished.
+    // First input of @p id (CompiledDdg::input order) still unfinished.
     auto firstPending = [&](uint64_t id) -> uint64_t {
-        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k)
-            if (!done[cd.deps[k]])
-                return cd.deps[k];
+        for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k)
+            if (!done[cd.input(id, k)])
+                return cd.input(id, k);
         return kNoEvent;
     };
     auto blockedOn = [&](uint64_t id, uint64_t dep,
@@ -313,8 +312,8 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
         uint64_t culprit = kNoEvent;
         if (id == dropped_consumer)
             culprit = dropped_producer;
-        else if (cd.depStart[id + 1] > cd.depStart[id])
-            culprit = cd.deps[cd.depStart[id]];
+        else if (cd.numInputs(id) > 0)
+            culprit = cd.input(id, 0);
         diag.blocked.push_back(blockedOn(id, culprit, true));
     }
     // Then a sample of transitively blocked waiters.
@@ -414,20 +413,19 @@ struct SiteCatalog
 };
 
 SiteCatalog
-buildCatalog(const Ddg &ddg, const ir::MemoryImage &mem,
+buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
              const StatSet &golden_stats)
 {
     SiteCatalog sites;
     auto kindOf = [&](uint32_t id) {
-        return ddg.nodes[ddg.nodeOf[id]]->kind();
+        return cd.nodes[cd.nodeOf[id]]->kind();
     };
-    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
-        const uint32_t first = ddg.depStart[id];
-        const uint32_t last = ddg.depStart[id + 1];
-        if (first == last)
+    for (uint32_t id = 0; id < cd.numEvents; ++id) {
+        const uint32_t inputs = cd.numInputs(id);
+        if (inputs == 0)
             continue;
         sites.edgeEvents.push_back(id);
-        if (ddg.flags[id] & kEvCompletion)
+        if (cd.flags[id] & kEvCompletion)
             continue;
         sites.nodeEdgeEvents.push_back(id);
         switch (kindOf(id)) {
@@ -442,12 +440,12 @@ buildCatalog(const Ddg &ddg, const ir::MemoryImage &mem,
           default:
             break;
         }
-        if (ddg.flags[id] & kEvEntry) {
-            for (uint32_t k = first; k < last; ++k) {
-                uint32_t p = ddg.deps[k];
-                if (!(ddg.flags[p] & kEvCompletion) &&
+        if (cd.flags[id] & kEvEntry) {
+            for (uint32_t k = 0; k < inputs; ++k) {
+                uint32_t p = cd.input(id, k);
+                if (!(cd.flags[p] & kEvCompletion) &&
                     kindOf(p) == uir::NodeKind::ChildCall) {
-                    sites.spawnEdges.emplace_back(id, k - first);
+                    sites.spawnEdges.emplace_back(id, k);
                     break;
                 }
             }
@@ -461,13 +459,10 @@ buildCatalog(const Ddg &ddg, const ir::MemoryImage &mem,
 
 bool
 resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
-            const Ddg &ddg, SplitMix64 &rng, FaultPlan &plan,
+            const CompiledDdg &cd, SplitMix64 &rng, FaultPlan &plan,
             std::string &error)
 {
-    auto depsOf = [&](uint64_t ev) {
-        return std::span<const uint32_t>(ddg.deps).subspan(
-            ddg.depStart[ev], ddg.depStart[ev + 1] - ddg.depStart[ev]);
-    };
+    // Edge ordinals index an event's inputs (CompiledDdg::input).
     FaultKind kind = spec.kind;
     if (kind == FaultKind::Mix) {
         std::vector<FaultKind> avail;
@@ -499,10 +494,10 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
     auto pickEvent = [&](const std::vector<uint64_t> &pool,
                          const char *what) {
         if (spec.site != FaultSpec::kAutoSite) {
-            if (spec.site >= ddg.numEvents) {
+            if (spec.site >= cd.numEvents) {
                 error = fmt("site %llu out of range (%u events)",
                             static_cast<unsigned long long>(spec.site),
-                            ddg.numEvents);
+                            cd.numEvents);
                 return false;
             }
             plan.event = spec.site;
@@ -516,20 +511,20 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
         return true;
     };
     auto pickEdge = [&]() {
-        const auto deps = depsOf(plan.event);
-        if (deps.empty()) {
+        const unsigned edges = cd.numInputs(plan.event);
+        if (edges == 0) {
             error = "target event has no input edges";
             return false;
         }
         plan.edge = spec.edge != FaultSpec::kAuto
                         ? spec.edge
-                        : static_cast<unsigned>(rng.below(deps.size()));
-        if (plan.edge >= deps.size()) {
-            error = fmt("edge %u out of range (%zu edges)", plan.edge,
-                        deps.size());
+                        : static_cast<unsigned>(rng.below(edges));
+        if (plan.edge >= edges) {
+            error = fmt("edge %u out of range (%u edges)", plan.edge,
+                        edges);
             return false;
         }
-        plan.producer = deps[plan.edge];
+        plan.producer = cd.input(plan.event, plan.edge);
         return true;
     };
 
@@ -591,14 +586,14 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             sites.spawnEdges.size())];
         plan.event = ev;
         plan.edge = k;
-        plan.producer = depsOf(ev)[k];
+        plan.producer = cd.input(ev, k);
         return true;
       }
       case FaultKind::LostSync: {
         if (!pickEvent(sites.syncEvents, "sync"))
             return false;
-        const auto deps = depsOf(plan.event);
-        if (deps.empty()) {
+        const unsigned edges = cd.numInputs(plan.event);
+        if (edges == 0) {
             error = "target sync has no input edges";
             return false;
         }
@@ -608,20 +603,19 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             // Prefer completion-token edges: those are the spawn
             // completions the sync exists to collect.
             std::vector<unsigned> cands;
-            for (unsigned k = 0; k < deps.size(); ++k)
-                if (ddg.flags[deps[k]] & kEvCompletion)
+            for (unsigned k = 0; k < edges; ++k)
+                if (cd.flags[cd.input(plan.event, k)] & kEvCompletion)
                     cands.push_back(k);
             plan.edge = cands.empty()
-                            ? static_cast<unsigned>(
-                                  rng.below(deps.size()))
+                            ? static_cast<unsigned>(rng.below(edges))
                             : cands[rng.below(cands.size())];
         }
-        if (plan.edge >= deps.size()) {
-            error = fmt("edge %u out of range (%zu edges)", plan.edge,
-                        deps.size());
+        if (plan.edge >= edges) {
+            error = fmt("edge %u out of range (%u edges)", plan.edge,
+                        edges);
             return false;
         }
-        plan.producer = deps[plan.edge];
+        plan.producer = cd.input(plan.event, plan.edge);
         return true;
       }
       case FaultKind::Mix:

@@ -150,8 +150,8 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
         tileIntervals;
     for (uint32_t id = 0; id < n; ++id) {
         const EventCost &c = costs[id];
-        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k) {
-            uint64_t slack = c.ready - costs[cd.deps[k]].finish;
+        for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k) {
+            uint64_t slack = c.ready - costs[cd.input(id, k)].finish;
             unsigned bucket =
                 slack == 0 ? 0u
                            : static_cast<unsigned>(std::bit_width(slack));
@@ -241,8 +241,7 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
                 put(StallClass::CacheMiss, c.missPenalty);
                 put(StallClass::Dram, c.dramWait);
                 uint64_t covered = c.finish - c.ready;
-                if (c.queueWait > 0 && cd.queueDep[cur] != kNoId32 &&
-                    c.critDep == cd.queueDep[cur]) {
+                if (c.queueWait > 0 && c.critDep == cd.queueSlotDep(cur)) {
                     // The queue slot, not the operands, gated dispatch:
                     // charge the gap to QueueFull and resume the walk
                     // at the operand chain.

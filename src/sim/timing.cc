@@ -216,7 +216,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
     // Per-run mutable state: flat, indexed by the compiled ids.
     std::vector<uint32_t> pending(n, 0);
     for (uint32_t id = 0; id < n; ++id)
-        pending[id] = cd.depStart[id + 1] - cd.depStart[id];
+        pending[id] = cd.numInputs(id);
 
     std::vector<uint64_t> finish(n, 0);
     std::vector<uint64_t> readyAt(n, 0);
@@ -310,21 +310,20 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             mstate->queueDepth.observe(queue.size() + 1);
 
         const uint8_t fl = cd.flags[id];
-        const uint32_t qd = cd.queueDep[id];
 
         EventCost *cost = prof ? &prof->events[id] : nullptr;
         if (cost) {
             cost->ready = ready;
-            // Operand skew and queue gating against the deps' (already
+            // Operand skew and queue gating against the inputs' (already
             // final) finish times; the queue-backpressure dep is kept
             // out of the operand statistics.
+            const uint32_t qd = cd.queueSlotDep(id);
             uint64_t first = ~uint64_t(0);
             uint64_t data_ready = 0;
             uint64_t data_crit = kNoEvent;
             unsigned data_deps = 0;
-            for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1];
-                 ++k) {
-                uint32_t d = cd.deps[k];
+            for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k) {
+                uint32_t d = cd.input(id, k);
                 if (d == qd)
                     continue;
                 ++data_deps;

@@ -250,9 +250,7 @@ Builder::compute(const Task &task)
                         sole_caller = false;
             if (!sole_caller)
                 continue;
-            uint64_t window = uint64_t(std::max(1u, c->queueDepth())) *
-                              std::max(1u, c->numTiles());
-            uint64_t chains = (tf.trip - 1) / window;
+            uint64_t chains = (tf.trip - 1) / c->queueWindow();
             uint64_t q = satMul(chains, bound(*c).spanLb) /
                          (tf.trip - 1);
             b.iiQueue = std::max(b.iiQueue, q);

@@ -9,6 +9,8 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,6 +133,14 @@ class Task
     /** Task-queue entries on the <||> interface (Pass 1). */
     unsigned queueDepth() const { return queueDepth_; }
     void setQueueDepth(unsigned d) { queueDepth_ = d; }
+    /** Invocations that can be in flight at once, a full queue per
+     *  tile: max(1, queueDepth) x max(1, numTiles). */
+    uint64_t
+    queueWindow() const
+    {
+        return uint64_t(std::max(1u, queueDepth_)) *
+               std::max(1u, numTiles_);
+    }
     /** Whether the <||> interface is decoupled by a FIFO (Pass 1). */
     bool decoupled() const { return decoupled_; }
     void setDecoupled(bool d) { decoupled_ = d; }

@@ -2,13 +2,14 @@
  * @file
  * CompiledDdg equivalence suite: on every baseline design the replay
  * index (sim/compiled_ddg.hh) must take the recorded Ddg over
- * unchanged, add the reverse CSR of its deps, and resolve its node,
- * task, structure and invocation tables to the values the record and
- * the design imply. It must also stand alone: an index whose executor
- * and record are gone replays, profiles and diagnoses hangs exactly
- * like a direct run. The Parallel suite exercises the shared-replay
- * contract (one immutable index, many concurrent RunContexts) under
- * TSan in CI.
+ * unchanged, add the window deps and the reverse CSR of all inputs,
+ * and resolve its node, task, structure and invocation tables to the
+ * values the record and the design imply. The record itself must not
+ * depend on queue depths or tile counts. The index must also stand
+ * alone: an index whose executor and record are gone replays,
+ * profiles and diagnoses hangs exactly like a direct run. The
+ * Parallel suite exercises the shared-replay contract (one immutable
+ * index, many concurrent RunContexts) under TSan in CI.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "sim/simulator.hh"
 #include "sim/timing.hh"
 #include "uir/delay_model.hh"
+#include "uopt/pipeline.hh"
 #include "workloads/driver.hh"
 #include "workloads/workload.hh"
 
@@ -42,13 +44,20 @@ struct Recorded
     const sim::Ddg &ddg() const { return exec->ddg(); }
 };
 
+/** Record @p name's baseline, after the μopt pipeline @p passes. */
 Recorded
-record(const std::string &name)
+record(const std::string &name, const std::string &passes = "")
 {
     setVerbose(false);
     Recorded r;
     r.workload = workloads::buildWorkload(name);
     r.accel = workloads::lowerBaseline(r.workload);
+    if (!passes.empty()) {
+        uopt::PassManager pm;
+        std::string error;
+        EXPECT_TRUE(uopt::buildPipeline(pm, passes, &error)) << error;
+        pm.run(*r.accel);
+    }
     r.mem = std::make_unique<ir::MemoryImage>(*r.workload.module);
     r.workload.bind(*r.mem);
     r.exec = std::make_unique<sim::UirExecutor>(*r.accel, *r.mem);
@@ -82,17 +91,19 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
         EXPECT_EQ(cd.addr, ddg.addr) << name;
         EXPECT_EQ(cd.words, ddg.words) << name;
         EXPECT_EQ(cd.flags, ddg.flags) << name;
-        EXPECT_EQ(cd.queueDep, ddg.queueDep) << name;
         EXPECT_EQ(cd.invocation, ddg.invocation) << name;
         EXPECT_EQ(cd.nodeOf, ddg.nodeOf) << name;
         EXPECT_EQ(cd.invTask, ddg.invTask) << name;
-        EXPECT_EQ(cd.invSeq, ddg.invSeq) << name;
         EXPECT_EQ(cd.nodes, ddg.nodes) << name;
 
         // Every dep points backwards; memory-only bits sit on deps
-        // into loads or stores only; the queue dep is one of the deps.
+        // into loads or stores only. A window dep points backwards
+        // too, sits on a dispatch or a loop-control firing, and is
+        // never also a record dep.
+        ASSERT_EQ(cd.windowDep.size(), cd.numEvents) << name;
+        uint32_t window_deps = 0;
         for (uint32_t e = 0; e < ddg.numEvents; ++e) {
-            bool queue_dep_listed = ddg.queueDep[e] == sim::kNoId32;
+            const uint32_t w = cd.windowDep[e];
             for (uint32_t k = ddg.depStart[e]; k < ddg.depStart[e + 1];
                  ++k) {
                 ASSERT_LT(ddg.deps[k], e) << name << " event " << e;
@@ -101,9 +112,16 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
                                 (sim::kEvLoad | sim::kEvStore))
                         << name << " event " << e;
                 }
-                queue_dep_listed |= ddg.deps[k] == ddg.queueDep[e];
+                ASSERT_NE(ddg.deps[k], w) << name << " event " << e;
             }
-            ASSERT_TRUE(queue_dep_listed) << name << " event " << e;
+            if (w == sim::kNoId32)
+                continue;
+            ++window_deps;
+            ASSERT_LT(w, e) << name << " event " << e;
+            ASSERT_TRUE((ddg.flags[e] & sim::kEvDispatch) ||
+                        ddg.nodes[ddg.nodeOf[e]]->kind() ==
+                            uir::NodeKind::LoopControl)
+                << name << " event " << e;
         }
 
         // Per invocation: a task of this design, and kEvEntry on
@@ -123,14 +141,15 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
                       cd.invTask[i])
                 << name << " invocation " << i;
 
-        // Reverse CSR: one entry per forward edge, each producer's
-        // consumer list sorted ascending (the replay's wake order).
-        ASSERT_EQ(cd.dependents.size(), ddg.deps.size()) << name;
+        // Reverse CSR: one entry per input (record and window deps),
+        // each producer's consumer list sorted ascending (the replay's
+        // wake order).
+        ASSERT_EQ(cd.dependents.size(), ddg.deps.size() + window_deps)
+            << name;
         std::vector<std::vector<uint32_t>> expected(ddg.numEvents);
         for (uint32_t e = 0; e < ddg.numEvents; ++e)
-            for (uint32_t k = ddg.depStart[e]; k < ddg.depStart[e + 1];
-                 ++k)
-                expected[ddg.deps[k]].push_back(e);
+            for (uint32_t k = 0; k < cd.numInputs(e); ++k)
+                expected[cd.input(e, k)].push_back(e);
         for (uint32_t p = 0; p < cd.numEvents; ++p) {
             // Recording appends consumers in id order already, but the
             // CSR contract is "ascending" regardless of source order.
@@ -216,11 +235,13 @@ TEST(CompiledDdg, PackedAttributesMatchBuilderEvents)
         }
         EXPECT_EQ(cd.initSlots, slot) << name;
 
-        // Invocations: the round-robin tile.
+        // Invocations: the round-robin tile of each task's invocations,
+        // numbered in the order they begin.
         ASSERT_EQ(cd.invTile.size(), cd.numInvocations) << name;
+        std::vector<uint32_t> begun(cd.tasks.size(), 0);
         for (uint32_t i = 0; i < cd.numInvocations; ++i)
-            ASSERT_EQ(cd.invTile[i],
-                      ddg.invSeq[i] % cd.tasks[ddg.invTask[i]].tiles)
+            ASSERT_EQ(cd.invTile[i], begun[ddg.invTask[i]]++ %
+                                         cd.tasks[ddg.invTask[i]].tiles)
                 << name << " invocation " << i;
 
         // Events: a fired node belongs to its invocation's task, and
@@ -238,6 +259,48 @@ TEST(CompiledDdg, PackedAttributesMatchBuilderEvents)
                 ASSERT_NE(cn.structure, sim::kNoId16)
                     << name << " event " << e;
             }
+        }
+    }
+}
+
+TEST(CompiledDdg, RecordIsIndependentOfTiming)
+{
+    // Queue depths and tile counts shape only the replay: every
+    // variant records the baseline's columns (nodes compared by task
+    // and node name, as each variant is a separate lowering), and its
+    // index, compiled against the variant, replays to runOn's cycles.
+    auto names = [](const sim::Ddg &ddg) {
+        std::vector<std::string> out;
+        for (const uir::Node *node : ddg.nodes)
+            out.push_back(node->parent()->name() + "." + node->name());
+        return out;
+    };
+    for (const std::string &name : workloads::workloadNames()) {
+        Recorded base = record(name);
+        const sim::Ddg &b = base.ddg();
+        for (const std::string passes :
+             {"queue:1", "queue:8,tile:4", "tile:2", "queue:3,tile:8"}) {
+            const std::string cell = name + " " + passes;
+            Recorded r = record(name, passes);
+            const sim::Ddg &v = r.ddg();
+            ASSERT_EQ(v.numEvents, b.numEvents) << cell;
+            ASSERT_EQ(v.numInvocations, b.numInvocations) << cell;
+            EXPECT_EQ(v.depStart, b.depStart) << cell;
+            EXPECT_EQ(v.deps, b.deps) << cell;
+            EXPECT_EQ(v.memDepBits, b.memDepBits) << cell;
+            EXPECT_EQ(v.addr, b.addr) << cell;
+            EXPECT_EQ(v.words, b.words) << cell;
+            EXPECT_EQ(v.flags, b.flags) << cell;
+            EXPECT_EQ(v.invocation, b.invocation) << cell;
+            EXPECT_EQ(v.nodeOf, b.nodeOf) << cell;
+            EXPECT_EQ(v.invTask, b.invTask) << cell;
+            EXPECT_EQ(names(v), names(b)) << cell;
+
+            const uint64_t cycles =
+                sim::scheduleDdg(sim::compileDdg(*r.accel, v)).cycles;
+            workloads::RunResult run = workloads::runOn(r.workload, *r.accel);
+            ASSERT_TRUE(run.check.empty()) << cell << ": " << run.check;
+            EXPECT_EQ(cycles, run.cycles) << cell;
         }
     }
 }

@@ -293,7 +293,8 @@ TEST(LintRace, ConflictObserverConfirmsStaticRace)
     k.bind(mem);
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
-    auto conflicts = sim::findConflicts(exec.ddg());
+    auto conflicts =
+        sim::findConflicts(sim::compileDdg(*accel, exec.takeDdg()));
     ASSERT_FALSE(conflicts.empty());
     for (const auto &c : conflicts) {
         ASSERT_NE(c.firstNode, nullptr);
@@ -313,7 +314,8 @@ TEST(LintRace, ConflictObserverAgreesBaselineIsClean)
     k.bind(mem);
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
-    EXPECT_TRUE(sim::findConflicts(exec.ddg()).empty());
+    EXPECT_TRUE(
+        sim::findConflicts(sim::compileDdg(*accel, exec.takeDdg())).empty());
 }
 
 // ---------------------------------------------------------------------
