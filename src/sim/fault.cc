@@ -4,6 +4,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "sim/compiled_ddg.hh"
+#include "sim/profile.hh"
 #include "sim/simulator.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -51,6 +53,9 @@ outcomeName(Outcome outcome)
 
 namespace
 {
+
+/** Most DramTimeout attempts a plan may ask for (the backoff doubles). */
+constexpr unsigned kMaxDramAttempts = 16;
 
 /** Strict decimal uint64 parse (rejects junk, signs, overflow). */
 bool
@@ -128,8 +133,12 @@ parseFaultSpec(const std::string &text, FaultSpec &out, std::string *error)
             spec.bit = static_cast<unsigned>(v);
         else if (key == "edge")
             spec.edge = static_cast<unsigned>(v);
-        else if (key == "attempts")
+        else if (key == "attempts" && v <= kMaxDramAttempts)
             spec.attempts = static_cast<unsigned>(v);
+        else if (key == "attempts")
+            return fail(fmt("attempts %llu exceeds %u",
+                            static_cast<unsigned long long>(v),
+                            kMaxDramAttempts));
         else
             return fail("unknown option '" + key +
                         "' (valid: bit, edge, attempts)");
@@ -251,8 +260,7 @@ FaultInjector::checkLoopStep(int64_t step, const std::string &task) const
 
 HangDiagnosis
 diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
-             const std::vector<char> &done, uint64_t processed,
-             uint64_t dropped_producer, uint64_t dropped_consumer)
+             uint64_t processed)
 {
     HangDiagnosis diag;
     diag.hung = true;
@@ -281,8 +289,20 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
     // First input of @p id (CompiledDdg::input order) still unfinished.
     auto firstPending = [&](uint64_t id) -> uint64_t {
         for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k)
-            if (!done[cd.input(id, k)])
+            if (pending[cd.input(id, k)] != 0)
                 return cd.input(id, k);
+        return kNoEvent;
+    };
+    // The input of @p id whose dependents omit it: its token never
+    // arrives.
+    auto lostInput = [&](uint64_t id) -> uint64_t {
+        for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k) {
+            const uint32_t d = cd.input(id, k);
+            if (!std::binary_search(
+                    cd.dependents.begin() + cd.depdStart[d],
+                    cd.dependents.begin() + cd.depdStart[d + 1], id))
+                return d;
+        }
         return kNoEvent;
     };
     auto blockedOn = [&](uint64_t id, uint64_t dep,
@@ -307,19 +327,14 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
     // everything else transitively waits on.
     for (uint64_t id = 0; id < n && diag.blocked.size() < kMaxReported;
          ++id) {
-        if (done[id] || pending[id] == 0 || firstPending(id) != kNoEvent)
+        if (pending[id] == 0 || firstPending(id) != kNoEvent)
             continue;
-        uint64_t culprit = kNoEvent;
-        if (id == dropped_consumer)
-            culprit = dropped_producer;
-        else if (cd.numInputs(id) > 0)
-            culprit = cd.input(id, 0);
-        diag.blocked.push_back(blockedOn(id, culprit, true));
+        diag.blocked.push_back(blockedOn(id, lostInput(id), true));
     }
     // Then a sample of transitively blocked waiters.
     for (uint64_t id = 0; id < n && diag.blocked.size() < kMaxReported;
          ++id) {
-        if (done[id] || pending[id] == 0)
+        if (pending[id] == 0)
             continue;
         uint64_t culprit = firstPending(id);
         if (culprit == kNoEvent)
@@ -333,20 +348,13 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
     // starvation, never a circular wait.
     uint64_t cur = kNoEvent;
     for (uint64_t id = n; id-- > 0;) {
-        if (!done[id] && pending[id] > 0) {
+        if (pending[id] > 0) {
             cur = id;
             break;
         }
     }
-    while (cur != kNoEvent) {
-        if (std::find(diag.waitChain.begin(), diag.waitChain.end(),
-                      cur) != diag.waitChain.end()) {
-            diag.waitChainIsCycle = true;
-            break;
-        }
+    for (; cur != kNoEvent; cur = firstPending(cur))
         diag.waitChain.push_back(cur);
-        cur = firstPending(cur);
-    }
     return diag;
 }
 
@@ -376,7 +384,7 @@ HangDiagnosis::render() const
         os << "\n";
     }
     if (!waitChain.empty()) {
-        os << (waitChainIsCycle ? "  wait-for cycle: " : "  wait chain: ");
+        os << "  wait chain: ";
         for (size_t i = 0; i < waitChain.size(); ++i) {
             if (i)
                 os << " -> ";
@@ -385,6 +393,149 @@ HangDiagnosis::render() const
         os << "\n";
     }
     return os.str();
+}
+
+// ------------------------------------------------ schedule-level faults
+
+bool
+isScheduleFault(FaultKind kind)
+{
+    return kind < FaultKind::Mix && kind != FaultKind::DataFlip &&
+           kind != FaultKind::MemFlip;
+}
+
+namespace
+{
+
+/** Remove @p e from @p p's dependents: every occurrence, or one. */
+void
+eraseDependent(CompiledDdg &cd, uint32_t p, uint32_t e, bool every)
+{
+    auto [lo, hi] =
+        std::equal_range(cd.dependents.begin() + cd.depdStart[p],
+                         cd.dependents.begin() + cd.depdStart[p + 1], e);
+    muir_assert(lo != hi, "scheduleFault: event %u feeds no %u", p, e);
+    const auto erased = static_cast<uint32_t>(every ? hi - lo : 1);
+    cd.dependents.erase(lo, lo + erased);
+    for (uint32_t i = p + 1; i <= cd.numEvents; ++i)
+        cd.depdStart[i] -= erased;
+}
+
+/** Remove input @p k (CompiledDdg::input order) of event @p e. */
+void
+eraseInput(CompiledDdg &cd, uint32_t e, uint32_t k)
+{
+    const uint32_t at = cd.depStart[e] + k;
+    if (at == cd.depStart[e + 1]) {
+        cd.windowDep[e] = kNoId32;
+        return;
+    }
+    cd.deps.erase(cd.deps.begin() + at);
+    for (uint32_t i = e + 1; i <= cd.numEvents; ++i)
+        --cd.depStart[i];
+    // The memory-only bits above the erased dep move down by one.
+    std::vector<uint64_t> &bits = cd.memDepBits;
+    const uint64_t keep = (uint64_t(1) << (at & 63)) - 1;
+    const uint64_t low = bits[at >> 6] & keep;
+    for (size_t j = at >> 6; j < bits.size(); ++j)
+        bits[j] = bits[j] >> 1 |
+                  (j + 1 < bits.size() ? bits[j + 1] << 63 : 0);
+    bits[at >> 6] = (bits[at >> 6] & ~keep) | low;
+}
+
+/** Give event @p e a private copy of its node's timing. */
+CompiledNode &
+privateNode(CompiledDdg &cd, uint32_t e)
+{
+    const uint32_t node = cd.nodeOf[e];
+    muir_assert(node != kNoId32, "scheduleFault: event %u has no node", e);
+    cd.nodeOf[e] = static_cast<uint32_t>(cd.nodeInfo.size());
+    cd.nodeInfo.push_back(CompiledNode(cd.nodeInfo[node]));
+    cd.nodes.push_back(cd.nodes[node]);
+    return cd.nodeInfo.back();
+}
+
+} // namespace
+
+TimingResult
+scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
+              RunContext &ctx)
+{
+    const uint64_t target =
+        plan.kind == FaultKind::DramTimeout ? plan.missEvent : plan.event;
+    muir_assert(ctx.fault && isScheduleFault(plan.kind) &&
+                    target < golden.numEvents,
+                "scheduleFault: needs a harness and a schedule-level plan");
+    const auto e = static_cast<uint32_t>(target);
+    const auto p = static_cast<uint32_t>(plan.producer);
+    CompiledDdg cd = golden;
+    switch (plan.kind) {
+      case FaultKind::StuckValid:
+        // Valid is stuck high: e no longer waits for p's token.
+        muir_assert(plan.edge < cd.numInputs(e) &&
+                        cd.input(e, plan.edge) == p,
+                    "scheduleFault: input %u of event %u is not %u",
+                    plan.edge, e, p);
+        eraseInput(cd, e, plan.edge);
+        eraseDependent(cd, p, e, /*every=*/false);
+        break;
+      case FaultKind::TokenDrop:
+      case FaultKind::LostSpawn:
+      case FaultKind::LostSync:
+        eraseDependent(cd, p, e, /*every=*/true);
+        break;
+      case FaultKind::TokenDup:
+        privateNode(cd, e).initInterval *= 2;
+        break;
+      default: {
+        // DramTimeout: the port times out and the controller retries
+        // with exponential backoff.
+        CompiledNode &cn = privateNode(cd, e);
+        const uint64_t window = cd.structs[cn.structure].missLatency + 32;
+        const uint64_t slowed =
+            cn.latency +
+            window * ((uint64_t(1) << std::min(plan.attempts, 32u)) - 1);
+        muir_assert(plan.attempts <= kMaxDramAttempts &&
+                        slowed <= ~uint32_t(0),
+                    "scheduleFault: %u DRAM attempts overflow the latency",
+                    plan.attempts);
+        cn.latency = static_cast<uint32_t>(slowed);
+      }
+    }
+
+    // StuckValid's detector (did e start before p finished raising
+    // valid?) reads the schedule back from the trace.
+    std::vector<TimingTraceRow> own;
+    std::vector<TimingTraceRow> *caller = ctx.hooks.trace;
+    if (plan.kind == FaultKind::StuckValid && !caller) {
+        own.reserve(cd.numEvents);
+        ctx.hooks.trace = &own;
+    }
+    TimingResult result = scheduleDdg(cd, ctx);
+    ctx.hooks.trace = caller;
+
+    // Detectors judge completed runs; a hung one is a Hang.
+    FaultVerdict &verdict = ctx.fault->verdict;
+    if (verdict.hang.tripped())
+        return result;
+    if (plan.kind == FaultKind::StuckValid) {
+        uint64_t start = 0, finish = 0;
+        for (const TimingTraceRow &row : caller ? *caller : own) {
+            if (row.event == e)
+                start = row.start;
+            if (row.event == p)
+                finish = row.finish;
+        }
+        if (start < finish)
+            verdict.detector = "handshake-causality";
+    } else if (plan.kind == FaultKind::TokenDup) {
+        verdict.detector = "token-conservation";
+    } else if (plan.kind == FaultKind::DramTimeout &&
+               plan.attempts > kMaxDramRetries) {
+        verdict.detector = "dram-timeout";
+    }
+    verdict.detected = !verdict.detector.empty();
+    return result;
 }
 
 // -------------------------------------------------------------- campaign
@@ -402,19 +553,23 @@ struct SiteCatalog
     std::vector<uint64_t> nodeEdgeEvents;
     /** Value-producing events (DataFlip). */
     std::vector<uint64_t> valueEvents;
-    /** (entry event, edge ordinal of its dispatch dep) (LostSpawn). */
-    std::vector<std::pair<uint64_t, unsigned>> spawnEdges;
+    /** Spawned entry events and, in step, the input ordinal of each
+     *  one's dispatch dep (LostSpawn). */
+    std::vector<uint64_t> spawnEvents;
+    std::vector<unsigned> spawnEdges;
     /** Sync events with edges (LostSync). */
     std::vector<uint64_t> syncEvents;
     uint64_t memBase = 0;
     uint64_t memWords = 0;
-    /** DRAM misses in the golden run (DramTimeout ordinals). */
-    uint64_t dramMisses = 0;
+    /** Events that missed to DRAM, in the golden run's processing
+     *  order (indexed by DramTimeout's miss ordinal). */
+    std::vector<uint64_t> missEvents;
 };
 
 SiteCatalog
 buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
-             const StatSet &golden_stats)
+             const std::vector<TimingTraceRow> &golden_trace,
+             const ProfileCollector &golden_costs)
 {
     SiteCatalog sites;
     auto kindOf = [&](uint32_t id) {
@@ -445,7 +600,8 @@ buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
                 uint32_t p = cd.input(id, k);
                 if (!(cd.flags[p] & kEvCompletion) &&
                     kindOf(p) == uir::NodeKind::ChildCall) {
-                    sites.spawnEdges.emplace_back(id, k);
+                    sites.spawnEvents.push_back(id);
+                    sites.spawnEdges.push_back(k);
                     break;
                 }
             }
@@ -453,7 +609,9 @@ buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
     }
     sites.memBase = ir::kHeapBase;
     sites.memWords = (mem.sizeBytes() - ir::kHeapBase) / 4;
-    sites.dramMisses = golden_stats.get("cache.misses");
+    for (const TimingTraceRow &row : golden_trace)
+        if (golden_costs.events[row.event].dramBytes)
+            sites.missEvents.push_back(row.event);
     return sites;
 }
 
@@ -476,9 +634,9 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             avail.push_back(FaultKind::DataFlip);
         if (sites.memWords)
             avail.push_back(FaultKind::MemFlip);
-        if (sites.dramMisses)
+        if (!sites.missEvents.empty())
             avail.push_back(FaultKind::DramTimeout);
-        if (!sites.spawnEdges.empty())
+        if (!sites.spawnEvents.empty())
             avail.push_back(FaultKind::LostSpawn);
         if (!sites.syncEvents.empty())
             avail.push_back(FaultKind::LostSync);
@@ -491,13 +649,14 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
 
     plan = FaultPlan{};
     plan.kind = kind;
+    // A pinned site must be in the kind's pool (pools are ascending).
     auto pickEvent = [&](const std::vector<uint64_t> &pool,
                          const char *what) {
         if (spec.site != FaultSpec::kAutoSite) {
-            if (spec.site >= cd.numEvents) {
-                error = fmt("site %llu out of range (%u events)",
+            if (!std::binary_search(pool.begin(), pool.end(), spec.site)) {
+                error = fmt("event %llu is not a %s site (%u events)",
                             static_cast<unsigned long long>(spec.site),
-                            cd.numEvents);
+                            what, cd.numEvents);
                 return false;
             }
             plan.event = spec.site;
@@ -510,15 +669,21 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
         plan.event = pool[rng.below(pool.size())];
         return true;
     };
-    auto pickEdge = [&]() {
+    // An auto edge is drawn from the inputs that are completions when
+    // @p completions asks for them and there are any, else from all.
+    auto pickEdge = [&](bool completions = false) {
         const unsigned edges = cd.numInputs(plan.event);
         if (edges == 0) {
             error = "target event has no input edges";
             return false;
         }
-        plan.edge = spec.edge != FaultSpec::kAuto
-                        ? spec.edge
-                        : static_cast<unsigned>(rng.below(edges));
+        std::vector<unsigned> cands;
+        for (unsigned k = 0; completions && k < edges; ++k)
+            if (cd.flags[cd.input(plan.event, k)] & kEvCompletion)
+                cands.push_back(k);
+        plan.edge = spec.edge != FaultSpec::kAuto ? spec.edge
+                    : cands.empty() ? static_cast<unsigned>(rng.below(edges))
+                                    : cands[rng.below(cands.size())];
         if (plan.edge >= edges) {
             error = fmt("edge %u out of range (%u edges)", plan.edge,
                         edges);
@@ -534,7 +699,7 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
                pickEdge();
       case FaultKind::TokenDup:
       case FaultKind::StuckValid:
-        return pickEvent(sites.nodeEdgeEvents, "handshake-edge") &&
+        return pickEvent(sites.nodeEdgeEvents, "node-handshake") &&
                pickEdge();
       case FaultKind::DataFlip:
         if (!pickEvent(sites.valueEvents, "datapath-value"))
@@ -564,60 +729,43 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
         return true;
       }
       case FaultKind::DramTimeout:
-        if (!sites.dramMisses) {
+        if (sites.missEvents.empty()) {
             error = "design has no DRAM misses to time out";
             return false;
         }
         plan.missOrdinal = spec.site != FaultSpec::kAutoSite
                                ? spec.site
-                               : rng.below(sites.dramMisses);
+                               : rng.below(sites.missEvents.size());
+        if (plan.missOrdinal >= sites.missEvents.size()) {
+            error = fmt("miss %llu out of range (%zu DRAM misses)",
+                        static_cast<unsigned long long>(plan.missOrdinal),
+                        sites.missEvents.size());
+            return false;
+        }
+        plan.missEvent = sites.missEvents[plan.missOrdinal];
         plan.attempts = spec.attempts != FaultSpec::kAuto
                             ? spec.attempts
                             : static_cast<unsigned>(1 + rng.below(6));
         return true;
       case FaultKind::LostSpawn: {
         if (spec.site != FaultSpec::kAutoSite)
-            return pickEvent({}, "spawn-dispatch") && pickEdge();
-        if (sites.spawnEdges.empty()) {
+            return pickEvent(sites.spawnEvents, "spawn-entry") &&
+                   pickEdge();
+        if (sites.spawnEvents.empty()) {
             error = "design has no spawn edges (no child tasks)";
             return false;
         }
-        auto [ev, k] = sites.spawnEdges[rng.below(
-            sites.spawnEdges.size())];
-        plan.event = ev;
-        plan.edge = k;
-        plan.producer = cd.input(ev, k);
-        return true;
-      }
-      case FaultKind::LostSync: {
-        if (!pickEvent(sites.syncEvents, "sync"))
-            return false;
-        const unsigned edges = cd.numInputs(plan.event);
-        if (edges == 0) {
-            error = "target sync has no input edges";
-            return false;
-        }
-        if (spec.edge != FaultSpec::kAuto) {
-            plan.edge = spec.edge;
-        } else {
-            // Prefer completion-token edges: those are the spawn
-            // completions the sync exists to collect.
-            std::vector<unsigned> cands;
-            for (unsigned k = 0; k < edges; ++k)
-                if (cd.flags[cd.input(plan.event, k)] & kEvCompletion)
-                    cands.push_back(k);
-            plan.edge = cands.empty()
-                            ? static_cast<unsigned>(rng.below(edges))
-                            : cands[rng.below(cands.size())];
-        }
-        if (plan.edge >= edges) {
-            error = fmt("edge %u out of range (%u edges)", plan.edge,
-                        edges);
-            return false;
-        }
+        size_t i = rng.below(sites.spawnEvents.size());
+        plan.event = sites.spawnEvents[i];
+        plan.edge = sites.spawnEdges[i];
         plan.producer = cd.input(plan.event, plan.edge);
         return true;
       }
+      case FaultKind::LostSync:
+        // Prefer completion-token edges: those are the spawn
+        // completions the sync exists to collect.
+        return pickEvent(sites.syncEvents, "sync") &&
+               pickEdge(/*completions=*/true);
       case FaultKind::Mix:
       case FaultKind::kCount:
         break;
@@ -748,7 +896,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
 
     // ---- Fault-free golden run, watchdog armed: a lint-clean graph
     // must never hang without a fault (cross-validation of μlint's
-    // static D-checks). ----
+    // static D-checks). Its trace and costs locate the DRAM misses. ----
     ir::MemoryImage golden_mem(module);
     if (bind)
         bind(golden_mem);
@@ -757,7 +905,11 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     FaultHarness golden_harness;
     golden_harness.watchdog.enabled = true;
     golden_harness.watchdog.maxCycles = spec.maxCycles;
+    std::vector<TimingTraceRow> golden_trace;
+    ProfileCollector golden_costs;
     RunContext golden_ctx;
+    golden_ctx.hooks.trace = &golden_trace;
+    golden_ctx.hooks.profile = &golden_costs;
     golden_ctx.fault = &golden_harness;
     const CompiledDdg golden_ddg = compileDdg(accel, exec.takeDdg());
     TimingResult golden = scheduleDdg(golden_ddg, golden_ctx);
@@ -771,8 +923,8 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     out.maxCycles =
         spec.maxCycles ? spec.maxCycles : golden.cycles * 8 + 4096;
     uint64_t max_firings = exec.firings() * 8 + 65536;
-    SiteCatalog sites = buildCatalog(golden_ddg, golden_mem,
-                                     golden.stats);
+    SiteCatalog sites =
+        buildCatalog(golden_ddg, golden_mem, golden_trace, golden_costs);
 
     const std::string spec_text = renderFaultSpec(spec.fault);
 
@@ -801,9 +953,10 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     }
 
     // Fan the injected runs across the pool. Everything shared here —
-    // accel, module, golden outputs/memory, the plans — is read-only;
-    // each run owns its MemoryImage, executor, and record slot, which
-    // is the whole re-entrancy contract of sim/run_context.hh.
+    // accel, module, golden outputs/memory/index, the plans — is
+    // read-only; each run owns its MemoryImage, executor, and record
+    // slot, which is the whole re-entrancy contract of
+    // sim/run_context.hh.
     std::vector<InjectionRecord> records(resolved);
     parallelFor(resolved, spec.jobs, [&](size_t i) {
         const FaultPlan &plan = plans[i];
@@ -818,6 +971,8 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
 
         SimOptions sopts;
         sopts.fault = &plan;
+        if (isScheduleFault(plan.kind))
+            sopts.compiled = &golden_ddg; // It would record the same.
         sopts.watchdog = true;
         sopts.maxCycles = out.maxCycles;
         sopts.maxFirings = max_firings;

@@ -27,9 +27,11 @@
  * index) over the golden run's site catalog, so a campaign with the
  * same (workload, spec, seed) always yields the same histogram.
  *
- * The whole layer follows the μprof guard pattern: with no FaultPlan
- * and the watchdog off, the executor and scheduler take bit-identical
- * paths and produce bit-identical cycles, stats, and outputs.
+ * Six kinds only move token arrivals: scheduleFault enacts them as
+ * edits of a copy of the golden replay index, so the scheduler knows
+ * only the watchdog. DataFlip and MemFlip act on the functional run.
+ * With neither a fault nor the watchdog, the executor and scheduler
+ * produce bit-identical cycles, stats, and outputs (μprof's guard).
  */
 #pragma once
 
@@ -84,6 +86,9 @@ const char *faultKindName(FaultKind kind);
 /** DRAM port retries before the timeout checker raises an error. */
 inline constexpr unsigned kMaxDramRetries = 4;
 
+/** Does @p kind only move token arrivals (see scheduleFault)? */
+bool isScheduleFault(FaultKind kind);
+
 /**
  * A user-facing fault request: the kind plus optional pinned site
  * parameters. Anything left at its kAuto value is resolved from the
@@ -136,6 +141,9 @@ struct FaultPlan
     unsigned bit = 0;
     /** DramTimeout: which DRAM miss (in golden order) times out. */
     uint64_t missOrdinal = 0;
+    /** DramTimeout: the golden run's missOrdinal-th missing event, in
+     *  processing order. */
+    uint64_t missEvent = kNoEvent;
     /** DramTimeout: failing attempts before the port answers. */
     unsigned attempts = 0;
 };
@@ -176,7 +184,7 @@ struct WatchdogOptions
  * What the watchdog saw when it tripped: which tasks were blocked, on
  * which dependence edge, whether the root cause is a starved event (a
  * token that finished upstream but was never delivered), and the
- * wait-for cycle when one exists.
+ * chain of waits down to it.
  */
 struct HangDiagnosis
 {
@@ -204,10 +212,9 @@ struct HangDiagnosis
     };
     /** Starved (root-cause) edges first, then a sample of the rest. */
     std::vector<BlockedEdge> blocked;
-    /** Wait-for cycle (event ids) when one exists; else the chain from
-     *  a blocked event to the root cause. */
+    /** The chain (event ids) from the latest blocked event to the root
+     *  cause; the DDG is a DAG, so there is never a wait-for cycle. */
     std::vector<uint64_t> waitChain;
-    bool waitChainIsCycle = false;
 
     bool tripped() const { return hung || budgetExceeded; }
 
@@ -227,29 +234,34 @@ struct FaultVerdict
 };
 
 /**
- * Bundle threaded through scheduleDdg when μfit is active: the plan
- * to inject (null = watchdog only) plus watchdog config in, verdict
- * out. Passing no harness at all keeps the scheduler bit-identical.
+ * Bundle threaded through scheduleDdg when μfit is active: watchdog
+ * config in, verdict out. Passing no harness at all keeps the
+ * scheduler bit-identical.
  */
 struct FaultHarness
 {
-    const FaultPlan *plan = nullptr;
     WatchdogOptions watchdog;
     FaultVerdict verdict;
 };
 
 /**
- * Build the hang diagnosis from scheduler state: which events are
- * still pending, which completed, and who waits on whom. When the
- * scheduler dropped a token (injection), the (producer, consumer)
- * pair pins the root-cause edge exactly.
+ * Build the hang diagnosis from the state of a replay whose ready
+ * queue drained: an event ran iff its @p pending count reached zero.
+ * A starved event's culprit is the input whose dependents omit it —
+ * the edge scheduleFault cut.
  */
 HangDiagnosis diagnoseHang(const CompiledDdg &cd,
                            const std::vector<uint32_t> &pending,
-                           const std::vector<char> &done,
-                           uint64_t processed,
-                           uint64_t dropped_producer = kNoEvent,
-                           uint64_t dropped_consumer = kNoEvent);
+                           uint64_t processed);
+
+/**
+ * Schedule a copy of @p golden edited by a schedule-level @p plan
+ * (docs/resilience.md has the edit per kind) under @p ctx, whose
+ * harness must be set, and set the kind's detector in its verdict.
+ * @p golden is only read, so concurrent runs may share it.
+ */
+TimingResult scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
+                           RunContext &ctx);
 
 // ----------------------------------------------- functional-layer hooks
 
@@ -282,8 +294,6 @@ class FaultInjector
         : plan_(plan), maxFirings_(max_firings)
     {
     }
-
-    const FaultPlan &plan() const { return plan_; }
 
     /** DataFlip: corrupt slot 0 of the event's produced value. */
     void

@@ -56,11 +56,12 @@ struct SimHooks
 
 /**
  * Everything one timing replay reads and writes beyond the shared,
- * immutable (Accelerator, Ddg) pair: observer hooks plus the μfit
- * harness. The harness is the one hook that may legitimately change
- * the schedule — it carries the fault plan to enact and the watchdog
- * budget in, and the verdict out. A default-constructed RunContext
- * is a plain, bit-identical baseline run.
+ * immutable (Accelerator, CompiledDdg) pair: observer hooks plus the
+ * μfit harness, which carries the watchdog budget in and the verdict
+ * out and changes a run only by stopping it once the budget trips
+ * (faults edit a copy of the index instead; see scheduleFault). A
+ * default-constructed RunContext is a plain, bit-identical baseline
+ * run.
  *
  * One RunContext per concurrent run; contexts are cheap to construct
  * and hold no state of their own.
@@ -68,9 +69,9 @@ struct SimHooks
 struct RunContext
 {
     SimHooks hooks;
-    /** μfit harness (sim/fault.hh): plan + watchdog in, verdict out.
-     *  Null keeps the schedule bit-identical (the same observational
-     *  guard contract as the hooks). */
+    /** μfit harness (sim/fault.hh): watchdog in, verdict out. Null
+     *  keeps the schedule bit-identical (the same observational guard
+     *  contract as the hooks). */
     FaultHarness *fault = nullptr;
 };
 

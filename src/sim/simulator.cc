@@ -10,10 +10,12 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
          const std::vector<ir::RuntimeValue> &args,
          const SimOptions &options)
 {
-    // A precompiled index replaces the recording; an injected fault
-    // changes what would be recorded, so the two cannot combine.
-    muir_assert(!(options.compiled && options.fault),
-                "simulate: a fault run cannot reuse a compiled DDG");
+    // A precompiled index replaces the recording; a value fault changes
+    // the recording, so only a schedule-level fault may reuse one.
+    const bool schedule_fault =
+        options.fault && isScheduleFault(options.fault->kind);
+    muir_assert(!options.compiled || !options.fault || schedule_fault,
+                "simulate: a value fault cannot reuse a compiled DDG");
     muir_assert(!options.compiled || options.compiled->design == &accel,
                 "simulate: compiled DDG belongs to another design");
     UirExecutor exec(accel, mem, /*record_ddg=*/!options.compiled);
@@ -52,7 +54,6 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     FaultHarness harness;
     bool use_harness = options.fault || options.watchdog;
     if (use_harness) {
-        harness.plan = options.fault;
         harness.watchdog.enabled = options.watchdog;
         harness.watchdog.maxCycles = options.maxCycles;
     }
@@ -60,7 +61,9 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     ctx.hooks.trace = options.trace ? &result.trace : nullptr;
     ctx.hooks.profile = result.profileData.get();
     ctx.fault = use_harness ? &harness : nullptr;
-    TimingResult timing = scheduleDdg(cd, ctx);
+    TimingResult timing = schedule_fault
+                              ? scheduleFault(cd, *options.fault, ctx)
+                              : scheduleDdg(cd, ctx);
     result.verdict = std::move(harness.verdict);
     result.cycles = timing.cycles;
     result.stats = std::move(timing.stats);

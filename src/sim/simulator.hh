@@ -30,7 +30,8 @@ struct SimOptions
     bool timeline = false;
     /** Timeline window-count target (0 = auto ≈ 256). */
     unsigned timelineWindows = 0;
-    /** μfit fault plan to inject (nullptr = bit-identical baseline). */
+    /** μfit fault plan to inject (nullptr = bit-identical baseline);
+     *  a schedule-level kind goes through scheduleFault. */
     const FaultPlan *fault = nullptr;
     /** Arm the dynamic hang watchdog (cycle budget + drain detection). */
     bool watchdog = false;
@@ -46,8 +47,9 @@ struct SimOptions
      * and the compile. The functional run still happens (outputs /
      * golden checks), just without the record. Must have been
      * compiled from this accelerator; the index alone serves the
-     * replay, µprof, µscope and hang diagnosis. Incompatible with
-     * `fault` (an injected run changes the DDG).
+     * replay, µprof, µscope and hang diagnosis. Combines with a
+     * schedule-level `fault` (it edits a copy), not with a value fault
+     * (it changes the DDG).
      */
     const CompiledDdg *compiled = nullptr;
     /** Compile the recorded DDG and return it in SimResult::compiled

@@ -221,44 +221,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
     std::vector<uint64_t> finish(n, 0);
     std::vector<uint64_t> readyAt(n, 0);
 
-    // --- μfit: fault plan decode + watchdog bookkeeping. Everything in
-    // this block is dead when fault == nullptr, keeping the no-harness
-    // schedule bit-identical (the μprof observational-guard contract).
-    const FaultPlan *plan = fault ? fault->plan : nullptr;
-    bool drop_edge = false;   // skip one token on the planned edge
-    bool stuck_valid = false; // pre-assert the planned edge's token
-    bool dup_token = false;   // consumer double-claims an issue slot
-    bool edge_skipped = false;
-    bool stuck_fired = false;
-    uint64_t stuck_start = 0;
-    uint64_t miss_ordinal = 0;
-    bool budget_tripped = false;
-    std::vector<char> done;
-    if (fault) {
-        done.assign(n, 0);
-        if (plan && plan->event != kNoEvent) {
-            switch (plan->kind) {
-              case FaultKind::TokenDrop:
-              case FaultKind::LostSpawn:
-              case FaultKind::LostSync:
-                drop_edge = true;
-                break;
-              case FaultKind::StuckValid:
-                stuck_valid = true;
-                // The consumer sees its token before the producer raised
-                // valid: satisfy the edge at time zero and skip the real
-                // arrival below.
-                --pending[plan->event];
-                break;
-              case FaultKind::TokenDup:
-                dup_token = true;
-                break;
-              default:
-                break;
-            }
-        }
-    }
-
     // Structural resource state: one flat next-free-cycle file for the
     // in-order-initiation slots and one for every junction/bank port,
     // laid out by compileDdg; cache tags per compiled structure.
@@ -296,6 +258,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                          ProfileCollector::StructUse{});
 
     uint64_t processed = 0;
+    bool budget_tripped = false;
     while (!queue.empty()) {
         uint32_t id = queue.pop();
         uint64_t ready = readyAt[id];
@@ -420,20 +383,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                             cost->dramBytes = cs.lineBytes;
                         }
                         access = (dram_start - start) + cs.missLatency;
-                        if (plan && plan->kind == FaultKind::DramTimeout &&
-                            miss_ordinal++ == plan->missOrdinal) {
-                            // The DRAM port times out; the controller
-                            // retries with exponential backoff.
-                            uint64_t window = cs.missLatency + 32;
-                            uint64_t backoff = 0;
-                            for (unsigned r = 0; r < plan->attempts; ++r)
-                                backoff += window << r;
-                            access += backoff;
-                            result.stats.inc("fault.dram_retries",
-                                             plan->attempts);
-                            result.stats.inc("fault.dram_retry_cycles",
-                                             backoff);
-                        }
                     }
                 } else {
                     ++scratch_accesses;
@@ -442,17 +391,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             }
 
             nf = start + cn.initInterval;
-            if (dup_token && id == plan->event) {
-                // A duplicated token makes the consumer fire twice: the
-                // ghost firing claims a second initiation slot on the
-                // same tile.
-                nf += cn.initInterval;
-                result.stats.inc("fault.duplicate_token");
-            }
-            if (stuck_valid && id == plan->event) {
-                stuck_fired = true;
-                stuck_start = start;
-            }
             end_time = start + latency;
             started = start;
             ++firings;
@@ -475,22 +413,10 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                               cd.invocation[id], ready, started,
                               end_time});
         finish[id] = end_time;
-        if (fault)
-            done[id] = 1;
         result.cycles = std::max(result.cycles, end_time);
         for (uint32_t k = cd.depdStart[id]; k < cd.depdStart[id + 1];
              ++k) {
             uint32_t dep_id = cd.dependents[k];
-            if ((drop_edge || stuck_valid) && !edge_skipped &&
-                id == plan->producer && dep_id == plan->event) {
-                // The token on this ready/valid edge is lost (drop) or
-                // was already consumed at time zero (stuck-valid): the
-                // producer's notification never arrives.
-                edge_skipped = true;
-                if (drop_edge)
-                    result.stats.inc("fault.dropped_tokens");
-                continue;
-            }
             if (prof && end_time > readyAt[dep_id])
                 prof->events[dep_id].critDep = id;
             readyAt[dep_id] = std::max(readyAt[dep_id], end_time);
@@ -538,27 +464,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             diag.total = n;
             diag.budget = fault->watchdog.maxCycles;
         } else if (processed < n) {
-            fault->verdict.hang = diagnoseHang(
-                cd, pending, done, processed,
-                (drop_edge || stuck_valid) ? plan->producer : kNoEvent,
-                (drop_edge || stuck_valid) ? plan->event : kNoEvent);
-        } else if (stuck_valid && stuck_fired &&
-                   stuck_start < finish[plan->producer]) {
-            // The consumer observed the token before the producer
-            // finished raising valid: a causality violation a handshake
-            // checker would flag, even though the run completed.
-            fault->verdict.detected = true;
-            fault->verdict.detector = "handshake-causality";
-        } else if (dup_token && plan->event != kNoEvent) {
-            fault->verdict.detected = true;
-            fault->verdict.detector = "token-conservation";
-        }
-        if (!fault->verdict.detected && plan &&
-            plan->kind == FaultKind::DramTimeout &&
-            plan->attempts > kMaxDramRetries &&
-            result.stats.get("fault.dram_retries")) {
-            fault->verdict.detected = true;
-            fault->verdict.detector = "dram-timeout";
+            fault->verdict.hang = diagnoseHang(cd, pending, processed);
         }
     } else {
         muir_assert(processed == n,

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -325,7 +326,12 @@ TEST(CompiledDdg, StandsAloneAfterItsRecordIsDestroyed)
 {
     // The index is built from an executor that is then destroyed with
     // its Ddg. Replaying the orphaned index — with every observer on,
-    // and under a token-loss fault — must reproduce a direct run.
+    // and under every schedule-level fault — must reproduce a direct
+    // run.
+    const char *const kScheduleFaults[] = {
+        "tokendrop", "tokendup", "stuckvalid",
+        "lostspawn", "lostsync", "dramtimeout:attempts=6"};
+    std::map<std::string, unsigned> covered;
     for (const std::string name :
          {"gemm", "saxpy", "fib", "spmv", "stencil"}) {
         setVerbose(false);
@@ -381,39 +387,53 @@ TEST(CompiledDdg, StandsAloneAfterItsRecordIsDestroyed)
                                        replay.timeline.get()))
             << name;
 
-        // Drop the first token into a mid-graph event: the orphaned
-        // index must hang with the same diagnosis a direct run renders.
-        sim::FaultPlan plan;
-        plan.kind = sim::FaultKind::TokenDrop;
-        for (uint32_t e = cd->numEvents / 2; e < cd->numEvents; ++e)
-            if (cd->depStart[e + 1] > cd->depStart[e]) {
-                plan.event = e;
-                plan.producer = cd->deps[cd->depStart[e]];
-                break;
+        // Every schedule-level fault replays an edited copy of the
+        // orphaned index, with the plan a campaign resolves for it:
+        // cycles, stats, detector and hang diagnosis must match a run
+        // that records and compiles its own DDG.
+        for (const std::string kind : kScheduleFaults) {
+            sim::CampaignSpec spec;
+            ASSERT_TRUE(sim::parseFaultSpec(kind, spec.fault, nullptr));
+            spec.runs = 1;
+            spec.seed = 5;
+            sim::CampaignResult probe = sim::runCampaign(
+                *accel, *w.module, [&](ir::MemoryImage &m) { w.bind(m); },
+                spec);
+            if (!probe.ok)
+                continue; // The design has no site of this kind.
+            ++covered[kind];
+            sim::SimOptions inject;
+            inject.fault = &probe.records[0].plan;
+            inject.watchdog = true;
+            inject.maxCycles = probe.maxCycles;
+            ir::MemoryImage fresh_mem(*w.module);
+            w.bind(fresh_mem);
+            sim::SimResult fresh =
+                sim::simulate(*accel, fresh_mem, {}, inject);
+            inject.compiled = cd.get();
+            ir::MemoryImage reuse_mem(*w.module);
+            w.bind(reuse_mem);
+            sim::SimResult reuse =
+                sim::simulate(*accel, reuse_mem, {}, inject);
+            if (kind == "tokendrop") {
+                EXPECT_TRUE(reuse.verdict.hang.tripped()) << name;
             }
-        ASSERT_NE(plan.event, sim::kNoEvent) << name;
-        sim::FaultHarness harness;
-        harness.plan = &plan;
-        harness.watchdog.enabled = true;
-        sim::RunContext ctx;
-        ctx.fault = &harness;
-        sim::TimingResult faulted = sim::scheduleDdg(*cd, ctx);
-
-        sim::SimOptions inject;
-        inject.fault = &plan;
-        inject.watchdog = true;
-        ir::MemoryImage fault_mem(*w.module);
-        w.bind(fault_mem);
-        sim::SimResult direct_fault =
-            sim::simulate(*accel, fault_mem, {}, inject);
-        ASSERT_TRUE(harness.verdict.hang.tripped()) << name;
-        EXPECT_EQ(faulted.cycles, direct_fault.cycles) << name;
-        EXPECT_EQ(faulted.stats.toJson(), direct_fault.stats.toJson())
-            << name;
-        EXPECT_EQ(harness.verdict.hang.render(),
-                  direct_fault.verdict.hang.render())
-            << name;
+            EXPECT_EQ(fresh.cycles, reuse.cycles) << name << " " << kind;
+            EXPECT_EQ(fresh.stats.toJson(), reuse.stats.toJson())
+                << name << " " << kind;
+            EXPECT_EQ(fresh.verdict.detected, reuse.verdict.detected)
+                << name << " " << kind;
+            EXPECT_EQ(fresh.verdict.detector, reuse.verdict.detector)
+                << name << " " << kind;
+            EXPECT_EQ(fresh.verdict.hang.render(),
+                      reuse.verdict.hang.render())
+                << name << " " << kind;
+        }
+        // The edits went to copies: the index still replays cleanly.
+        EXPECT_EQ(sim::scheduleDdg(*cd).cycles, direct.cycles) << name;
     }
+    for (const std::string kind : kScheduleFaults)
+        EXPECT_GT(covered[kind], 0u) << kind << " never resolved";
 }
 
 TEST(CompiledDdg, SimulateReuseMatchesFreshRun)

@@ -82,6 +82,10 @@ TEST(FaultSpec, RejectsJunkWithHelpfulError)
     EXPECT_FALSE(parseFaultSpec("dataflip:bit=notanumber", spec, &error));
     EXPECT_FALSE(parseFaultSpec("", spec, &error));
     EXPECT_FALSE(parseFaultSpec("dataflip@", spec, &error));
+    // The backoff doubles per attempt; 16 is the most a spec may ask.
+    EXPECT_FALSE(parseFaultSpec("dramtimeout:attempts=17", spec, &error));
+    EXPECT_NE(error.find("attempts"), std::string::npos) << error;
+    EXPECT_TRUE(parseFaultSpec("dramtimeout:attempts=16", spec, &error));
 }
 
 TEST(FaultSpec, RoundTripsThroughRender)
@@ -432,6 +436,35 @@ TEST(Campaign, PinnedSiteIsHonored)
     ASSERT_TRUE(r.ok) << r.error;
     for (const InjectionRecord &rec : r.records)
         EXPECT_EQ(rec.plan.event, event);
+}
+
+TEST(Campaign, PinnedSiteOutsideItsKindsPoolIsRejected)
+{
+    // saxpy's event 12 is a completion (nothing to fire twice or early)
+    // and event 1 a loop control, not a sync.
+    for (const char *spec : {"tokendup@12", "stuckvalid@12", "lostsync@1"}) {
+        CampaignResult r = campaignOn("saxpy", spec, 1, 1);
+        EXPECT_FALSE(r.ok) << spec;
+        EXPECT_NE(r.error.find("is not a"), std::string::npos) << r.error;
+        EXPECT_TRUE(r.records.empty()) << spec;
+    }
+    // A miss ordinal past the golden run's misses times nothing out.
+    CampaignResult far = campaignOn("gemm", "dramtimeout@999999999", 1, 1);
+    EXPECT_FALSE(far.ok);
+    EXPECT_NE(far.error.find("out of range"), std::string::npos)
+        << far.error;
+
+    // A pinned lostspawn draws from the spawned entry events.
+    CampaignResult probe = campaignOn("fib", "lostspawn", 1, 1);
+    ASSERT_TRUE(probe.ok) << probe.error;
+    uint64_t entry = probe.records[0].plan.event;
+    CampaignResult pinned =
+        campaignOn("fib", "lostspawn@" + std::to_string(entry), 3, 4);
+    ASSERT_TRUE(pinned.ok) << pinned.error;
+    for (const InjectionRecord &rec : pinned.records) {
+        EXPECT_EQ(rec.plan.event, entry);
+        EXPECT_EQ(rec.outcome, Outcome::Hang);
+    }
 }
 
 } // namespace muir::sim

@@ -379,8 +379,8 @@ main(int argc, char **argv)
 
     // µmeter: one registry for the whole invocation. Counters are
     // aggregates over every simulation this run performs (including
-    // per-pass cycle probes and campaign injections); bench/host_perf
-    // is the per-workload clean-room measurement.
+    // per-pass cycle probes and campaign injections); a plain run with
+    // --metrics-json is the per-workload clean-room measurement.
     bool want_metrics = host_metrics || !metrics_json.empty() ||
                         !report_json.empty();
     metrics::Registry host_registry;
