@@ -43,8 +43,8 @@
  *
  * Lifetime: the index carries every fact the replay's consumers read —
  * hang diagnosis, µprof, µscope — and borrows only the Accelerator
- * (node / structure / task pointers are retained for the trace and
- * profile hooks), which must outlive it.
+ * (node / structure / task pointers are retained for the post-passes
+ * over a ScheduleLog), which must outlive it.
  */
 #pragma once
 
@@ -61,7 +61,7 @@ namespace muir::sim
 /** One hardware structure with its scheduling geometry denormalized. */
 struct CompiledStruct
 {
-    /** Live pointer for the µprof hooks (EventCost::structure). */
+    /** Live pointer for the post-passes (EventCost::structure). */
     const uir::Structure *s = nullptr;
     bool isCache = false;
     unsigned lineBytes = 0;

@@ -466,6 +466,8 @@ scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
     muir_assert(ctx.fault && isScheduleFault(plan.kind) &&
                     target < golden.numEvents,
                 "scheduleFault: needs a harness and a schedule-level plan");
+    muir_assert(!ctx.log, "scheduleFault: a log would index the edited "
+                          "copy, not the caller's index");
     const auto e = static_cast<uint32_t>(target);
     const auto p = static_cast<uint32_t>(plan.producer);
     CompiledDdg cd = golden;
@@ -504,29 +506,19 @@ scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
     }
 
     // StuckValid's detector (did e start before p finished raising
-    // valid?) reads the schedule back from the trace.
-    std::vector<TimingTraceRow> own;
-    std::vector<TimingTraceRow> *caller = ctx.hooks.trace;
-    if (plan.kind == FaultKind::StuckValid && !caller) {
-        own.reserve(cd.numEvents);
-        ctx.hooks.trace = &own;
-    }
-    TimingResult result = scheduleDdg(cd, ctx);
-    ctx.hooks.trace = caller;
+    // valid?) reads the schedule back from a log of its own.
+    ScheduleLog log;
+    RunContext run = ctx;
+    if (plan.kind == FaultKind::StuckValid)
+        run.log = &log;
+    TimingResult result = scheduleDdg(cd, run);
 
     // Detectors judge completed runs; a hung one is a Hang.
     FaultVerdict &verdict = ctx.fault->verdict;
     if (verdict.hang.tripped())
         return result;
     if (plan.kind == FaultKind::StuckValid) {
-        uint64_t start = 0, finish = 0;
-        for (const TimingTraceRow &row : caller ? *caller : own) {
-            if (row.event == e)
-                start = row.start;
-            if (row.event == p)
-                finish = row.finish;
-        }
-        if (start < finish)
+        if (log.start[e] < log.finish[p])
             verdict.detector = "handshake-causality";
     } else if (plan.kind == FaultKind::TokenDup) {
         verdict.detector = "token-conservation";
@@ -568,8 +560,7 @@ struct SiteCatalog
 
 SiteCatalog
 buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
-             const std::vector<TimingTraceRow> &golden_trace,
-             const ProfileCollector &golden_costs)
+             const ScheduleLog &golden_log)
 {
     SiteCatalog sites;
     auto kindOf = [&](uint32_t id) {
@@ -609,9 +600,9 @@ buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
     }
     sites.memBase = ir::kHeapBase;
     sites.memWords = (mem.sizeBytes() - ir::kHeapBase) / 4;
-    for (const TimingTraceRow &row : golden_trace)
-        if (golden_costs.events[row.event].dramBytes)
-            sites.missEvents.push_back(row.event);
+    for (uint32_t id : golden_log.order())
+        if (eventCost(cd, golden_log, id).dramBytes)
+            sites.missEvents.push_back(id);
     return sites;
 }
 
@@ -896,7 +887,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
 
     // ---- Fault-free golden run, watchdog armed: a lint-clean graph
     // must never hang without a fault (cross-validation of μlint's
-    // static D-checks). Its trace and costs locate the DRAM misses. ----
+    // static D-checks). Its schedule log locates the DRAM misses. ----
     ir::MemoryImage golden_mem(module);
     if (bind)
         bind(golden_mem);
@@ -905,11 +896,9 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     FaultHarness golden_harness;
     golden_harness.watchdog.enabled = true;
     golden_harness.watchdog.maxCycles = spec.maxCycles;
-    std::vector<TimingTraceRow> golden_trace;
-    ProfileCollector golden_costs;
+    ScheduleLog golden_log;
     RunContext golden_ctx;
-    golden_ctx.hooks.trace = &golden_trace;
-    golden_ctx.hooks.profile = &golden_costs;
+    golden_ctx.log = &golden_log;
     golden_ctx.fault = &golden_harness;
     const CompiledDdg golden_ddg = compileDdg(accel, exec.takeDdg());
     TimingResult golden = scheduleDdg(golden_ddg, golden_ctx);
@@ -924,7 +913,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
         spec.maxCycles ? spec.maxCycles : golden.cycles * 8 + 4096;
     uint64_t max_firings = exec.firings() * 8 + 65536;
     SiteCatalog sites =
-        buildCatalog(golden_ddg, golden_mem, golden_trace, golden_costs);
+        buildCatalog(golden_ddg, golden_mem, golden_log);
 
     const std::string spec_text = renderFaultSpec(spec.fault);
 

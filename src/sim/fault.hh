@@ -31,7 +31,7 @@
  * edits of a copy of the golden replay index, so the scheduler knows
  * only the watchdog. DataFlip and MemFlip act on the functional run.
  * With neither a fault nor the watchdog, the executor and scheduler
- * produce bit-identical cycles, stats, and outputs (μprof's guard).
+ * produce bit-identical cycles, stats, and outputs.
  */
 #pragma once
 
@@ -257,8 +257,10 @@ HangDiagnosis diagnoseHang(const CompiledDdg &cd,
 /**
  * Schedule a copy of @p golden edited by a schedule-level @p plan
  * (docs/resilience.md has the edit per kind) under @p ctx, whose
- * harness must be set, and set the kind's detector in its verdict.
- * @p golden is only read, so concurrent runs may share it.
+ * harness must be set and whose log must not be (a log of the edited
+ * copy would not read against @p golden), and set the kind's detector
+ * in its verdict. @p golden is only read, so concurrent runs may
+ * share it.
  */
 TimingResult scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
                            RunContext &ctx);

@@ -74,40 +74,113 @@ rawStalls(const EventCost &c)
     return sb;
 }
 
-/** Total busy time of a union of (possibly overlapping) intervals. */
-uint64_t
-unionLength(std::vector<std::pair<uint64_t, uint64_t>> &intervals)
-{
-    std::sort(intervals.begin(), intervals.end());
-    uint64_t busy = 0, lo = 0, hi = 0;
-    bool open = false;
-    for (const auto &[s, f] : intervals) {
-        if (!open || s > hi) {
-            if (open)
-                busy += hi - lo;
-            lo = s;
-            hi = f;
-            open = true;
-        } else {
-            hi = std::max(hi, f);
-        }
-    }
-    if (open)
-        busy += hi - lo;
-    return busy;
-}
-
 } // namespace
 
-std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
-occupancyDeltas(const CompiledDdg &cd, const ProfileCollector &collector)
+EventCost
+eventCost(const CompiledDdg &cd, const ScheduleLog &log, uint32_t id)
 {
-    const auto &costs = collector.events;
+    EventCost c;
+    c.ready = log.ready[id];
+    c.start = log.start[id];
+    c.finish = log.finish[id];
+
+    // Operand skew and queue gating against the inputs' finish times;
+    // the queue-backpressure dep is kept out of the operand statistics.
+    // The scheduler raised ready only on a strictly later finish, so
+    // of the inputs with the latest finish the first processed set it.
+    const uint32_t qd = cd.queueSlotDep(id);
+    uint64_t first = ~uint64_t(0);
+    uint64_t crit_ready = 0;
+    uint64_t data_ready = 0;
+    unsigned data_deps = 0;
+    for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k) {
+        uint32_t d = cd.input(id, k);
+        uint64_t f = log.finish[d];
+        if (f > crit_ready ||
+            (f && f == crit_ready && log.rank[d] < log.rank[c.critDep])) {
+            crit_ready = f;
+            c.critDep = d;
+        }
+        if (d == qd)
+            continue;
+        ++data_deps;
+        first = std::min(first, f);
+        if (f > data_ready) {
+            data_ready = f;
+            c.dataCritDep = d;
+        }
+    }
+    if (data_deps >= 2)
+        c.operandWait = data_ready - first;
+    if (qd != kNoId32 && log.finish[qd] > data_ready)
+        c.queueWait = log.finish[qd] - data_ready;
+
+    if (cd.flags[id] & kEvCompletion)
+        return c;
+    c.tile = cd.invTile[cd.invocation[id]];
+    if (log.memRow[id] == kNoId32) {
+        c.iiWait = c.start - c.ready;
+        return c;
+    }
+    // A load or store: the II, junction and bank stages in turn, then
+    // a refill behind the access when it missed.
+    const ScheduleLog::MemStages &m = log.mem[log.memRow[id]];
+    const CompiledStruct &cs =
+        cd.structs[cd.nodeInfo[cd.nodeOf[id]].structure];
+    c.iiWait = m.iiStart - c.ready;
+    c.junctionWait = m.junctionStart - m.iiStart;
+    c.bankWait = c.start - m.junctionStart;
+    c.structure = cs.s;
+    c.beats = cs.beats(cd.words[id]);
+    if (m.dramStart != ScheduleLog::kNoRefill) {
+        c.dramWait = m.dramStart - (c.start + cs.latency + c.beats - 1);
+        c.missPenalty = cs.missLatency;
+        c.dramStart = m.dramStart;
+        c.dramXfer = cs.missXfer;
+        c.dramBytes = cs.lineBytes;
+    }
+    return c;
+}
+
+std::map<std::pair<uint16_t, uint32_t>,
+         std::vector<std::pair<uint64_t, uint64_t>>>
+tileBusySpans(const CompiledDdg &cd, const ScheduleLog &log)
+{
+    std::map<std::pair<uint16_t, uint32_t>,
+             std::vector<std::pair<uint64_t, uint64_t>>>
+        out;
+    for (uint32_t id = 0; id < cd.numEvents; ++id) {
+        const uint64_t s = log.start[id], f = log.finish[id];
+        if (!log.processed(id) || (cd.flags[id] & kEvCompletion) || f <= s)
+            continue;
+        const uint32_t inv = cd.invocation[id];
+        out[{cd.invTask[inv], cd.invTile[inv]}].push_back({s, f});
+    }
+    for (auto &[key, spans] : out) {
+        std::sort(spans.begin(), spans.end());
+        size_t merged = 0;
+        for (const auto &span : spans) {
+            if (merged && span.first <= spans[merged - 1].second)
+                spans[merged - 1].second =
+                    std::max(spans[merged - 1].second, span.second);
+            else
+                spans[merged++] = span;
+        }
+        spans.resize(merged);
+    }
+    return out;
+}
+
+std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
+occupancyDeltas(const CompiledDdg &cd, const ScheduleLog &log)
+{
     std::vector<uint64_t> completionFinish(cd.numInvocations, 0);
     std::vector<uint32_t> entryEvent(cd.numInvocations, kNoId32);
     for (uint32_t id = 0; id < cd.numEvents; ++id) {
+        if (!log.processed(id))
+            continue;
         if (cd.flags[id] & kEvCompletion)
-            completionFinish[cd.invocation[id]] = costs[id].finish;
+            completionFinish[cd.invocation[id]] = log.finish[id];
         if (cd.flags[id] & kEvEntry)
             entryEvent[cd.invocation[id]] = id;
     }
@@ -115,7 +188,7 @@ occupancyDeltas(const CompiledDdg &cd, const ProfileCollector &collector)
     for (uint32_t i = 0; i < cd.numInvocations; ++i) {
         if (entryEvent[i] == kNoId32)
             continue;
-        uint64_t enter = costs[entryEvent[i]].ready;
+        uint64_t enter = log.ready[entryEvent[i]];
         uint64_t leave = std::max(completionFinish[i], enter);
         auto &deltas = out[cd.invTask[i]];
         deltas.emplace_back(enter, +1);
@@ -127,15 +200,13 @@ occupancyDeltas(const CompiledDdg &cd, const ProfileCollector &collector)
 }
 
 ProfileResult
-buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
-             uint64_t cycles)
+buildProfile(const CompiledDdg &cd, const ScheduleLog &log, uint64_t cycles)
 {
     ProfileResult r;
     r.cycles = cycles;
     const uint32_t n = cd.numEvents;
-    const auto &costs = collector.events;
-    muir_assert(costs.size() == n, "profile: %zu cost records for %u events",
-                costs.size(), n);
+    muir_assert(log.rank.size() == n, "profile: %zu logged events of %u",
+                log.rank.size(), n);
 
     auto taskProf = [&](uint16_t tid) -> TaskProfile & {
         const uir::Task *t = cd.tasks[tid].task;
@@ -144,14 +215,14 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
         return tp;
     };
 
-    // --- Raw roll-up, tile service intervals, edge slack. ---
-    std::map<std::pair<uint16_t, uint32_t>,
-             std::vector<std::pair<uint64_t, uint64_t>>>
-        tileIntervals;
+    // --- Raw roll-up, port activity, edge slack, tile busy time. ---
+    std::vector<StructProfile> ports(cd.structs.size());
     for (uint32_t id = 0; id < n; ++id) {
-        const EventCost &c = costs[id];
+        if (!log.processed(id))
+            continue;
+        const EventCost c = eventCost(cd, log, id);
         for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k) {
-            uint64_t slack = c.ready - costs[cd.input(id, k)].finish;
+            uint64_t slack = c.ready - log.finish[cd.input(id, k)];
             unsigned bucket =
                 slack == 0 ? 0u
                            : static_cast<unsigned>(std::bit_width(slack));
@@ -159,23 +230,31 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
         }
         if (cd.flags[id] & kEvCompletion)
             continue;
-        uint16_t tid = cd.invTask[cd.invocation[id]];
-        TaskProfile &tp = taskProf(tid);
+        TaskProfile &tp = taskProf(cd.invTask[cd.invocation[id]]);
         ++tp.events;
         StallBreakdown sb = rawStalls(c);
         tp.raw.add(sb);
         r.raw.add(sb);
-        if (c.finish > c.start)
-            tileIntervals[{tid, c.tile}].push_back({c.start, c.finish});
+        if (c.structure) {
+            StructProfile &sp =
+                ports[cd.nodeInfo[cd.nodeOf[id]].structure];
+            ++sp.accesses;
+            sp.busyBeats += c.beats;
+            if (c.bankWait)
+                ++sp.conflicts;
+        }
     }
-    for (auto &[key, intervals] : tileIntervals)
-        taskProf(key.first).tileBusy[key.second] =
-            unionLength(intervals);
+    for (const auto &[key, spans] : tileBusySpans(cd, log)) {
+        uint64_t busy = 0;
+        for (const auto &[lo, hi] : spans)
+            busy += hi - lo;
+        taskProf(key.first).tileBusy[key.second] = busy;
+    }
 
     // --- Queue occupancy: invocations in flight over time. ---
     for (uint32_t i = 0; i < cd.numInvocations; ++i)
         ++taskProf(cd.invTask[i]).invocations;
-    for (const auto &[tid, deltas] : occupancyDeltas(cd, collector)) {
+    for (const auto &[tid, deltas] : occupancyDeltas(cd, log)) {
         TaskProfile &tp = taskProf(tid);
         uint64_t prev = 0;
         int64_t depth = 0;
@@ -189,16 +268,16 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
     }
 
     // --- Structure utilization. ---
-    for (const auto &[s, use] : collector.structUse) {
-        StructProfile sp;
+    for (size_t i = 0; i < ports.size(); ++i) {
+        StructProfile &sp = ports[i];
+        if (!sp.accesses)
+            continue;
+        const uir::Structure *s = cd.structs[i].s;
         sp.structure = s;
-        sp.accesses = use.accesses;
-        sp.conflicts = use.conflicts;
-        sp.busyBeats = use.busyBeats;
         uint64_t capacity = cycles * std::max(1u, s->banks()) *
                             std::max(1u, s->portsPerBank());
         sp.utilization =
-            capacity ? double(use.busyBeats) / double(capacity) : 0.0;
+            capacity ? double(sp.busyBeats) / double(capacity) : 0.0;
         r.structures[s->name()] = sp;
     }
 
@@ -210,11 +289,12 @@ buildProfile(const CompiledDdg &cd, const ProfileCollector &collector,
     if (n > 0) {
         uint64_t cur = 0;
         for (uint32_t id = 1; id < n; ++id)
-            if (costs[id].finish > costs[cur].finish)
+            if (log.finish[id] > log.finish[cur])
                 cur = id;
         std::map<const uir::Node *, CritPathEntry> perNode;
         while (cur != kNoEvent) {
-            const EventCost &c = costs[cur];
+            const EventCost c =
+                eventCost(cd, log, static_cast<uint32_t>(cur));
             uint64_t next = c.critDep;
             if (!(cd.flags[cur] & kEvCompletion)) {
                 const uir::Node *node = cd.nodes[cd.nodeOf[cur]];
@@ -412,10 +492,14 @@ profileJson(const ProfileResult &profile)
 }
 
 std::string
-chromeTraceJson(const std::vector<TimingTraceRow> &rows,
-                const ProfileCollector &collector,
+chromeTraceJson(const CompiledDdg &cd, const ScheduleLog &log,
                 const Timeline *timeline)
 {
+    // Slices in processing order; completions have no node to show.
+    std::vector<uint32_t> firings = log.order();
+    std::erase_if(firings,
+                  [&](uint32_t id) { return cd.nodeOf[id] == kNoId32; });
+
     std::ostringstream os;
     JsonWriter w(os, /*pretty=*/false);
     w.beginObject();
@@ -436,13 +520,10 @@ chromeTraceJson(const std::vector<TimingTraceRow> &rows,
     // first appearance — and emit every thread-name record before any
     // slice, so the byte stream is identical run to run.
     std::map<std::pair<std::string, uint32_t>, int> tids;
-    for (const TimingTraceRow &row : rows) {
-        if (!row.node)
-            continue; // synthetic completion marker
-        const EventCost &c = collector.events.at(row.event);
-        tids.emplace(
-            std::make_pair(row.node->parent()->name(), c.tile), 0);
-    }
+    for (uint32_t id : firings)
+        tids.emplace(std::make_pair(cd.nodes[cd.nodeOf[id]]->parent()->name(),
+                                    cd.invTile[cd.invocation[id]]),
+                     0);
     int next_tid = 0;
     for (auto &[key, tid] : tids) {
         tid = ++next_tid;
@@ -458,36 +539,28 @@ chromeTraceJson(const std::vector<TimingTraceRow> &rows,
         w.end();
     }
 
-    for (const TimingTraceRow &row : rows) {
-        if (!row.node)
-            continue; // synthetic completion marker
-        const EventCost &c = collector.events.at(row.event);
-        const uir::Task *task = row.node->parent();
-        int tid = tids.at({task->name(), c.tile});
+    for (uint32_t id : firings) {
+        const EventCost c = eventCost(cd, log, id);
+        const uir::Node *node = cd.nodes[cd.nodeOf[id]];
+        int tid = tids.at({node->parent()->name(), c.tile});
         w.beginObject();
-        w.field("name", row.node->name());
-        w.field("cat", uir::nodeKindName(row.node->kind()));
+        w.field("name", node->name());
+        w.field("cat", uir::nodeKindName(node->kind()));
         w.field("ph", "X");
         w.field("pid", 1);
         w.field("tid", tid);
-        w.field("ts", row.start);
-        w.field("dur", row.finish - row.start);
+        w.field("ts", c.start);
+        w.field("dur", c.finish - c.start);
         w.beginObject("args");
-        w.field("event", row.event);
+        w.field("event", static_cast<uint64_t>(id));
         w.field("invocation",
-                static_cast<uint64_t>(row.invocation));
-        w.field("ready", row.ready);
-        auto stall = [&](StallClass cls, uint64_t n) {
-            if (n)
-                w.field(stallClassName(cls), n);
-        };
-        stall(StallClass::Operand, c.operandWait);
-        stall(StallClass::QueueFull, c.queueWait);
-        stall(StallClass::TileII, c.iiWait);
-        stall(StallClass::Junction, c.junctionWait);
-        stall(StallClass::Bank, c.bankWait);
-        stall(StallClass::CacheMiss, c.missPenalty);
-        stall(StallClass::Dram, c.dramWait);
+                static_cast<uint64_t>(cd.invocation[id]));
+        w.field("ready", c.ready);
+        const StallBreakdown sb = rawStalls(c);
+        for (size_t i = 0; i < kNumStallClasses; ++i)
+            if (sb.cycles[i])
+                w.field(stallClassName(static_cast<StallClass>(i)),
+                        sb.cycles[i]);
         w.end();
         w.end();
     }
@@ -496,6 +569,23 @@ chromeTraceJson(const std::vector<TimingTraceRow> &rows,
     w.end();
     w.end();
     return os.str();
+}
+
+std::string
+traceCsv(const CompiledDdg &cd, const ScheduleLog &log)
+{
+    std::ostringstream csv;
+    csv << "event,node,task,kind,invocation,ready,start,finish\n";
+    for (uint32_t id : log.order()) {
+        const uir::Node *node =
+            cd.nodeOf[id] == kNoId32 ? nullptr : cd.nodes[cd.nodeOf[id]];
+        csv << id << "," << csvQuote(node ? node->name() : "<completion>")
+            << "," << csvQuote(node ? node->parent()->name() : "") << ","
+            << csvQuote(node ? uir::nodeKindName(node->kind()) : "done")
+            << "," << cd.invocation[id] << "," << log.ready[id] << ","
+            << log.start[id] << "," << log.finish[id] << "\n";
+    }
+    return csv.str();
 }
 
 } // namespace muir::sim

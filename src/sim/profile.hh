@@ -3,11 +3,11 @@
  * μprof — cycle attribution and critical-path analysis over the timing
  * replay (the observability layer the μopt loop steers by).
  *
- * The timing scheduler, when handed a ProfileCollector, records one
- * EventCost per DDG event: where the event's start was pushed back
- * (operand skew, full task queue, tile initiation interval, junction
- * port, bank port) and where its latency was inflated (cache miss,
- * DRAM bandwidth queue). buildProfile() then derives:
+ * Everything here reads a ScheduleLog (sim/timing.hh) after the run.
+ * eventCost() derives, per logged event, where its start was pushed
+ * back (operand skew, full task queue, tile initiation interval,
+ * junction port, bank port) and where its latency was inflated (cache
+ * miss, DRAM bandwidth queue). buildProfile() then derives:
  *
  *  - raw stall roll-ups per class / task / structure (overlap-blind:
  *    concurrent stalls all count, so sums may exceed total cycles —
@@ -21,10 +21,10 @@
  *    per-task queue-depth distributions, per-structure port activity,
  *    and a dependence-edge slack histogram;
  *  - Chrome trace-event JSON of the event timeline (one track per
- *    task/tile), loadable in ui.perfetto.dev.
+ *    task/tile), loadable in ui.perfetto.dev, and the per-event CSV.
  *
- * Profiling is strictly observational: with a null collector the
- * scheduler does no extra work and produces bit-identical results.
+ * Events a tripped or hung run never processed are absent from the
+ * log and from everything derived here.
  */
 #pragma once
 
@@ -83,7 +83,7 @@ struct StallBreakdown
     StallClass dominant() const;
 };
 
-/** Per-event cost record, indexed by compiled event id. */
+/** One logged event's timing and costs (see eventCost). */
 struct EventCost
 {
     uint64_t ready = 0;
@@ -112,9 +112,9 @@ struct EventCost
 
     /**
      * @name Time-resolved memory activity (μscope)
-     * Loads/stores additionally record where their structure/DRAM
-     * occupancy landed on the clock, so the timeline sampler can bin
-     * port beats and DRAM bytes per window without re-simulating.
+     * Where a load's or store's structure/DRAM occupancy landed on the
+     * clock, so the timeline sampler can bin port beats and DRAM bytes
+     * per window without re-simulating.
      * @{
      */
     /** Structure the access hit (nullptr for pure compute events). */
@@ -131,24 +131,14 @@ struct EventCost
 };
 
 /**
- * Raw per-run measurement buffer filled by scheduleDdg. Pass one to
- * scheduleDdg to turn profiling on; everything else derives from it.
+ * Derive event @p id's costs from a run's log and the index's tables:
+ * its tile, structure, beats and DRAM refill; the operand and queue
+ * waits; and the dep that set its ready time (critDep: the input with
+ * the latest finish, ties to the one processed first, none when that
+ * finish is 0). @p id must be processed in @p log.
  */
-struct ProfileCollector
-{
-    std::vector<EventCost> events;
-
-    /** Per-structure port activity. */
-    struct StructUse
-    {
-        uint64_t accesses = 0;
-        /** Accesses that found all ports of their bank busy. */
-        uint64_t conflicts = 0;
-        /** Port-cycles consumed (beats). */
-        uint64_t busyBeats = 0;
-    };
-    std::map<const uir::Structure *, StructUse> structUse;
-};
+EventCost eventCost(const CompiledDdg &cd, const ScheduleLog &log,
+                    uint32_t id);
 
 /** One node's contribution to the critical path. */
 struct CritPathEntry
@@ -220,17 +210,26 @@ struct ProfileResult
 };
 
 /**
- * Task-queue occupancy of one collected replay of @p cd: per task id,
+ * Per (task id, tile) of one logged replay of @p cd: the cycles its
+ * processed node events kept the tile busy, as ascending disjoint
+ * [start, finish) spans (overlapping service intervals merged).
+ */
+std::map<std::pair<uint16_t, uint32_t>,
+         std::vector<std::pair<uint64_t, uint64_t>>>
+tileBusySpans(const CompiledDdg &cd, const ScheduleLog &log);
+
+/**
+ * Task-queue occupancy of one logged replay of @p cd: per task id,
  * the (cycle, +1/-1) steps of its invocations in flight, sorted. An
  * invocation enters at its entry event's ready cycle and leaves at its
- * completion's finish; one without an entry event is left out.
+ * completion's finish; one whose entry event was not processed is
+ * left out.
  */
 std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
-occupancyDeltas(const CompiledDdg &cd, const ProfileCollector &collector);
+occupancyDeltas(const CompiledDdg &cd, const ScheduleLog &log);
 
-/** Derive the full profile from one collected replay of @p cd. */
-ProfileResult buildProfile(const CompiledDdg &cd,
-                           const ProfileCollector &collector,
+/** Derive the full profile from one logged replay of @p cd. */
+ProfileResult buildProfile(const CompiledDdg &cd, const ScheduleLog &log,
                            uint64_t cycles);
 
 /**
@@ -247,7 +246,7 @@ struct Timeline; // sim/timeline.hh
 
 /**
  * Chrome trace-event JSON ("traceEvents" array format): one complete
- * "X" event per scheduled node firing on a (task, tile) track, with
+ * "X" event per processed node firing on a (task, tile) track, with
  * thread-name metadata. ts/dur are in cycles (load into
  * ui.perfetto.dev; 1 cycle displays as 1 µs). Output is byte-stable
  * across runs: tracks are assigned and emitted in (task-name, tile)
@@ -256,8 +255,15 @@ struct Timeline; // sim/timeline.hh
  * tracks (stall mix, DRAM bandwidth, utilization, occupancy) are
  * appended after the slices.
  */
-std::string chromeTraceJson(const std::vector<TimingTraceRow> &rows,
-                            const ProfileCollector &collector,
+std::string chromeTraceJson(const CompiledDdg &cd, const ScheduleLog &log,
                             const Timeline *timeline = nullptr);
+
+/**
+ * The per-event CSV (muirc --trace): a header, then one row per
+ * processed event in processing order — event, node, task, node kind
+ * ("done" for an invocation's completion), invocation, ready, start,
+ * finish.
+ */
+std::string traceCsv(const CompiledDdg &cd, const ScheduleLog &log);
 
 } // namespace muir::sim

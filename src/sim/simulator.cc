@@ -16,6 +16,11 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
         options.fault && isScheduleFault(options.fault->kind);
     muir_assert(!options.compiled || !options.fault || schedule_fault,
                 "simulate: a value fault cannot reuse a compiled DDG");
+    // A schedule-level fault replays an edited copy of the index; a log
+    // of it would not read against the index the caller holds.
+    const bool keep_log = options.profile || options.trace || options.timeline;
+    muir_assert(!schedule_fault || !keep_log,
+                "simulate: a schedule-level fault takes no observers");
     muir_assert(!options.compiled || options.compiled->design == &accel,
                 "simulate: compiled DDG belongs to another design");
     UirExecutor exec(accel, mem, /*record_ddg=*/!options.compiled);
@@ -46,11 +51,12 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
         owned = std::make_shared<const CompiledDdg>(
             compileDdg(accel, exec.takeDdg()));
     const CompiledDdg &cd = options.compiled ? *options.compiled : *owned;
-    if (options.keepCompiled)
+    if (options.keepCompiled || keep_log)
         result.compiled = owned;
 
-    if (options.profile || options.timeline)
-        result.profileData = std::make_shared<ProfileCollector>();
+    std::shared_ptr<ScheduleLog> log;
+    if (keep_log)
+        log = std::make_shared<ScheduleLog>();
     FaultHarness harness;
     bool use_harness = options.fault || options.watchdog;
     if (use_harness) {
@@ -58,8 +64,7 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
         harness.watchdog.maxCycles = options.maxCycles;
     }
     RunContext ctx;
-    ctx.hooks.trace = options.trace ? &result.trace : nullptr;
-    ctx.hooks.profile = result.profileData.get();
+    ctx.log = log.get();
     ctx.fault = use_harness ? &harness : nullptr;
     TimingResult timing = schedule_fault
                               ? scheduleFault(cd, *options.fault, ctx)
@@ -69,11 +74,11 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     result.stats = std::move(timing.stats);
     if (options.profile)
         result.profile = std::make_shared<ProfileResult>(
-            buildProfile(cd, *result.profileData, result.cycles));
+            buildProfile(cd, *log, result.cycles));
     if (options.timeline)
-        result.timeline = std::make_shared<Timeline>(
-            buildTimeline(cd, *result.profileData, result.cycles,
-                          options.timelineWindows));
+        result.timeline = std::make_shared<Timeline>(buildTimeline(
+            cd, *log, result.cycles, options.timelineWindows));
+    result.log = std::move(log);
     return result;
 }
 

@@ -22,16 +22,17 @@ namespace muir::sim
 /** What to collect beyond cycles/stats (all off by default). */
 struct SimOptions
 {
-    /** Build a full μprof ProfileResult (and keep the collector). */
+    /** Build a full μprof ProfileResult (and keep the log). */
     bool profile = false;
-    /** Keep the per-event timeline (needed for trace export). */
+    /** Keep the schedule log (for the trace exports). */
     bool trace = false;
-    /** Build the μscope windowed timeline (implies a collector). */
+    /** Build the μscope windowed timeline (and keep the log). */
     bool timeline = false;
     /** Timeline window-count target (0 = auto ≈ 256). */
     unsigned timelineWindows = 0;
     /** μfit fault plan to inject (nullptr = bit-identical baseline);
-     *  a schedule-level kind goes through scheduleFault. */
+     *  a schedule-level kind goes through scheduleFault and combines
+     *  with none of profile, trace and timeline. */
     const FaultPlan *fault = nullptr;
     /** Arm the dynamic hang watchdog (cycle budget + drain detection). */
     bool watchdog = false;
@@ -53,7 +54,8 @@ struct SimOptions
      */
     const CompiledDdg *compiled = nullptr;
     /** Compile the recorded DDG and return it in SimResult::compiled
-     *  for reuse by later runs. Ignored when `compiled` is set. */
+     *  for reuse by later runs (a kept log keeps it too). Ignored when
+     *  `compiled` is set. */
     bool keepCompiled = false;
 };
 
@@ -70,12 +72,12 @@ struct SimResult
     StatSet stats;
     /** μprof attribution (set when SimOptions::profile). */
     std::shared_ptr<ProfileResult> profile;
-    /** Raw per-event costs (set when profile or timeline). */
-    std::shared_ptr<ProfileCollector> profileData;
     /** μscope windowed telemetry (set when SimOptions::timeline). */
     std::shared_ptr<Timeline> timeline;
-    /** Per-event timeline (set when SimOptions::trace). */
-    std::vector<TimingTraceRow> trace;
+    /** The schedule log (set when SimOptions::profile, trace or
+     *  timeline); read it against `compiled`, or against
+     *  SimOptions::compiled when that was passed. */
+    std::shared_ptr<const ScheduleLog> log;
     /** μfit verdict (watchdog diagnosis, detector hits). */
     FaultVerdict verdict;
     /** Functional execution aborted via a μfit guard (FaultAbort). */
@@ -84,7 +86,8 @@ struct SimResult
     Outcome abortOutcome = Outcome::Detected;
     /** Human-readable abort reason. */
     std::string abortDetail;
-    /** The replay index (set when SimOptions::keepCompiled): pass as
+    /** The replay index (set when SimOptions::keepCompiled or a log
+     *  is kept, unless SimOptions::compiled was passed): pass as
      *  SimOptions::compiled to later runs of the same design+inputs.
      *  Shared and immutable — safe across concurrent replays. */
     std::shared_ptr<const CompiledDdg> compiled;

@@ -26,54 +26,38 @@ Timeline::classTotal(StallClass c) const
 namespace
 {
 
-/** Split [a, b) across the windows it overlaps, adding the overlap. */
-template <typename Lane>
+/** Split [a, b) across the first @p n windows: add(w, overlap). */
+template <typename Add>
 void
-binSpan(Lane &lane, uint64_t width, uint64_t a, uint64_t b,
-        uint64_t mult = 1)
+splitSpan(size_t n, uint64_t width, uint64_t a, uint64_t b, Add add)
 {
     if (b <= a)
         return;
-    size_t n = lane.size();
     for (size_t w = static_cast<size_t>(a / width); w < n; ++w) {
         uint64_t ws = w * width;
         uint64_t we = ws + width;
         uint64_t lo = std::max(a, ws);
         uint64_t hi = std::min(b, we);
         if (hi > lo)
-            lane[w] += (hi - lo) * mult;
+            add(w, hi - lo);
         if (b <= we)
             break;
     }
 }
 
-/** Union-sweep of (start, finish) intervals into a per-window lane. */
+/** Add each window's overlap with [a, b), times @p mult, to @p lane. */
 void
-binUnion(std::vector<uint64_t> &lane, uint64_t width,
-         std::vector<std::pair<uint64_t, uint64_t>> &intervals)
+binSpan(std::vector<uint64_t> &lane, uint64_t width, uint64_t a,
+        uint64_t b, uint64_t mult = 1)
 {
-    std::sort(intervals.begin(), intervals.end());
-    uint64_t lo = 0, hi = 0;
-    bool open = false;
-    for (const auto &[s, f] : intervals) {
-        if (!open || s > hi) {
-            if (open)
-                binSpan(lane, width, lo, hi);
-            lo = s;
-            hi = f;
-            open = true;
-        } else {
-            hi = std::max(hi, f);
-        }
-    }
-    if (open)
-        binSpan(lane, width, lo, hi);
+    splitSpan(lane.size(), width, a, b,
+              [&](size_t w, uint64_t len) { lane[w] += len * mult; });
 }
 
 } // namespace
 
 Timeline
-buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
+buildTimeline(const CompiledDdg &cd, const ScheduleLog &log,
               uint64_t cycles, unsigned windows)
 {
     Timeline tl;
@@ -88,9 +72,8 @@ buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
     uint64_t width = tl.windowWidth;
 
     const uint32_t events = cd.numEvents;
-    const auto &costs = collector.events;
-    muir_assert(costs.size() == events,
-                "timeline: %zu cost records for %u events", costs.size(),
+    muir_assert(log.rank.size() == events,
+                "timeline: %zu logged events of %u", log.rank.size(),
                 events);
 
     tl.stalls.assign(n, StallBreakdown{});
@@ -106,27 +89,16 @@ buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
     }
 
     auto stall = [&](StallClass cls, uint64_t a, uint64_t b) {
-        if (b <= a)
-            return;
-        for (size_t w = static_cast<size_t>(a / width); w < n; ++w) {
-            uint64_t ws = w * width;
-            uint64_t we = ws + width;
-            uint64_t lo = std::max(a, ws);
-            uint64_t hi = std::min(b, we);
-            if (hi > lo)
-                tl.stalls[w][cls] += hi - lo;
-            if (b <= we)
-                break;
-        }
+        splitSpan(n, width, a, b, [&](size_t w, uint64_t len) {
+            tl.stalls[w][cls] += len;
+        });
     };
 
-    std::map<std::pair<uint16_t, uint32_t>,
-             std::vector<std::pair<uint64_t, uint64_t>>>
-        tileIntervals;
     for (uint32_t id = 0; id < events; ++id) {
-        if (cd.flags[id] & kEvCompletion)
-            continue; // μprof's raw roll-up skips completions too.
-        const EventCost &c = costs[id];
+        // μprof's raw roll-up skips completions too.
+        if (!log.processed(id) || (cd.flags[id] & kEvCompletion))
+            continue;
+        const EventCost c = eventCost(cd, log, id);
 
         // Reconstruct each stall's position on the clock from the
         // scheduler's pushback order: operands gather, then the queue
@@ -153,9 +125,6 @@ buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
 
         size_t sw = static_cast<size_t>(c.start / width);
         ++tl.eventStarts[std::min(sw, n - 1)];
-        if (c.finish > c.start)
-            tileIntervals[{cd.invTask[cd.invocation[id]], c.tile}]
-                .push_back({c.start, c.finish});
         if (c.structure) {
             auto it = tl.structures.find(c.structure->name());
             if (it != tl.structures.end())
@@ -168,26 +137,19 @@ buildTimeline(const CompiledDdg &cd, const ProfileCollector &collector,
             // Spread the line's bytes across the transfer window.
             double per_cycle =
                 double(c.dramBytes) / double(c.dramXfer);
-            uint64_t a = c.dramStart, b = c.dramStart + c.dramXfer;
-            for (size_t w = static_cast<size_t>(a / width); w < n;
-                 ++w) {
-                uint64_t ws = w * width;
-                uint64_t we = ws + width;
-                uint64_t lo = std::max(a, ws);
-                uint64_t hi = std::min(b, we);
-                if (hi > lo)
-                    tl.dramBytes[w] += per_cycle * double(hi - lo);
-                if (b <= we)
-                    break;
-            }
+            splitSpan(n, width, c.dramStart, c.dramStart + c.dramXfer,
+                      [&](size_t w, uint64_t len) {
+                          tl.dramBytes[w] += per_cycle * double(len);
+                      });
         }
     }
-    for (auto &[key, intervals] : tileIntervals)
-        binUnion(tl.tileBusyCycles, width, intervals);
+    for (const auto &[key, spans] : tileBusySpans(cd, log))
+        for (const auto &[lo, hi] : spans)
+            binSpan(tl.tileBusyCycles, width, lo, hi);
 
     // Task-queue occupancy: integrate invocations-in-flight per
     // window (enter at the entry event's ready, leave at completion).
-    for (const auto &[tid, deltas] : occupancyDeltas(cd, collector)) {
+    for (const auto &[tid, deltas] : occupancyDeltas(cd, log)) {
         auto &lane = tl.taskOccupancyCycles[cd.tasks[tid].task->name()];
         lane.assign(n, 0);
         uint64_t prev = 0;

@@ -8,11 +8,11 @@
  * occupancy and bytes moved, cycle-weighted active execution tiles,
  * task-queue occupancy, and the issue rate.
  *
- * The timeline is derived entirely post-hoc from the μprof
- * ProfileCollector — the scheduler records a handful of extra fields
- * inside its existing `if (profiling)` guards and is otherwise
- * untouched, so the μprof observational contract carries over: with
- * the sampler off, cycles and stats are bit-identical.
+ * The timeline is derived entirely after the run from the schedule
+ * log (sim/timing.hh) through μprof's eventCost, so the log's
+ * observational contract carries over: with the sampler off, cycles
+ * and stats are bit-identical. Events a tripped run never processed
+ * are left out.
  *
  * Exactness invariant (guarded by test on every baseline): each
  * event's stall span is split across the windows it overlaps, so the
@@ -92,11 +92,10 @@ struct Timeline
 };
 
 /**
- * Derive the windowed timeline from one profiled run.
+ * Derive the windowed timeline from one logged run.
  * @param windows Window-count target; 0 = kDefaultTimelineWindows.
  */
-Timeline buildTimeline(const CompiledDdg &cd,
-                       const ProfileCollector &collector,
+Timeline buildTimeline(const CompiledDdg &cd, const ScheduleLog &log,
                        uint64_t cycles, unsigned windows = 0);
 
 /**

@@ -7,7 +7,6 @@
 
 #include "sim/compiled_ddg.hh"
 #include "sim/fault.hh"
-#include "sim/profile.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
@@ -194,18 +193,21 @@ struct MeterState
 TimingResult
 scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
 {
-    std::vector<TimingTraceRow> *trace = ctx.hooks.trace;
-    ProfileCollector *prof = ctx.hooks.profile;
+    ScheduleLog *log = ctx.log;
     FaultHarness *fault = ctx.fault;
     TimingResult result;
     const uint32_t n = cd.numEvents;
-    if (prof)
-        prof->events.assign(n, EventCost{});
+    if (log) {
+        log->start.assign(n, 0);
+        log->rank.assign(n, kNoId32);
+        log->memRow.assign(n, kNoId32);
+        log->mem.clear();
+    }
 
     // μmeter self-profiling. With no sink installed, mstate stays
     // null, no clock is read, and the schedule is bit-identical to
     // the unmetered one — the same observational-guard contract the
-    // trace and profile hooks honor.
+    // schedule log honors.
     metrics::Registry *meter = metrics::sink();
     std::unique_ptr<MeterState> mstate;
     if (meter) {
@@ -252,10 +254,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
     uint64_t scratch_accesses = 0;
     std::vector<uint64_t> taskEvents(cd.tasks.size(), 0);
     std::vector<uint64_t> taskStall(cd.tasks.size(), 0);
-    std::vector<ProfileCollector::StructUse> structUse;
-    if (prof)
-        structUse.assign(cd.structs.size(),
-                         ProfileCollector::StructUse{});
 
     uint64_t processed = 0;
     bool budget_tripped = false;
@@ -274,36 +272,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
 
         const uint8_t fl = cd.flags[id];
 
-        EventCost *cost = prof ? &prof->events[id] : nullptr;
-        if (cost) {
-            cost->ready = ready;
-            // Operand skew and queue gating against the inputs' (already
-            // final) finish times; the queue-backpressure dep is kept
-            // out of the operand statistics.
-            const uint32_t qd = cd.queueSlotDep(id);
-            uint64_t first = ~uint64_t(0);
-            uint64_t data_ready = 0;
-            uint64_t data_crit = kNoEvent;
-            unsigned data_deps = 0;
-            for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k) {
-                uint32_t d = cd.input(id, k);
-                if (d == qd)
-                    continue;
-                ++data_deps;
-                uint64_t f = finish[d];
-                first = std::min(first, f);
-                if (f > data_ready) {
-                    data_ready = f;
-                    data_crit = d;
-                }
-            }
-            cost->dataCritDep = data_crit;
-            if (data_deps >= 2)
-                cost->operandWait = data_ready - first;
-            if (qd != kNoId32 && finish[qd] > data_ready)
-                cost->queueWait = finish[qd] - data_ready;
-        }
-
         uint64_t end_time;
         uint64_t started = ready;
         if (fl & kEvCompletion) {
@@ -314,10 +282,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             // In-order initiation per static node per tile.
             uint64_t &nf = initFree[cn.slotBase + tile];
             uint64_t start = std::max(ready, nf);
-            if (cost) {
-                cost->tile = tile;
-                cost->iiWait = start - ready;
-            }
 
             uint64_t latency = cn.latency;
 
@@ -325,38 +289,25 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                 // Junction arbitration (task-side R/W ports, §3.4).
                 const CompiledTask &ct = cd.tasks[cn.task];
                 bool load = fl & kEvLoad;
-                uint64_t pre = start;
+                const uint64_t ii_start = start;
                 start = claimPort(&portFree[ct.junctionSlot(tile, load)],
                                   load ? ct.readPorts : ct.writePorts,
                                   start, 1);
                 ++mem_events;
-                junction_wait += start - pre;
-                if (cost)
-                    cost->junctionWait = start - pre;
+                junction_wait += start - ii_start;
 
                 // Structure access.
                 const CompiledStruct &cs = cd.structs[cn.structure];
                 const uint64_t addr = cd.addr[id];
                 const unsigned words = cd.words[id];
                 unsigned beats = cs.beats(words);
-                pre = start;
+                const uint64_t junction_start = start;
                 start = claimPort(&portFree[cs.bankSlot(addr)],
                                   cs.portsPerBank, start, beats);
-                bank_wait += start - pre;
-                if (cost) {
-                    cost->bankWait = start - pre;
-                    cost->structure = cs.s;
-                    cost->beats = beats;
-                }
-                if (prof) {
-                    auto &use = structUse[cn.structure];
-                    ++use.accesses;
-                    use.busyBeats += beats;
-                    if (start > pre)
-                        ++use.conflicts;
-                }
+                bank_wait += start - junction_start;
 
                 uint64_t access = cs.latency + beats - 1;
+                uint64_t refill = ScheduleLog::kNoRefill;
                 CacheTags *tag = tags[cn.structure].get();
                 if (tag) {
                     bool hit = tag->access(addr);
@@ -374,20 +325,18 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                         uint64_t dram_start =
                             std::max(start + access, dramFree);
                         dramFree = dram_start + xfer;
-                        if (cost) {
-                            cost->dramWait =
-                                dram_start - (start + access);
-                            cost->missPenalty = cs.missLatency;
-                            cost->dramStart = dram_start;
-                            cost->dramXfer = xfer;
-                            cost->dramBytes = cs.lineBytes;
-                        }
+                        refill = dram_start;
                         access = (dram_start - start) + cs.missLatency;
                     }
                 } else {
                     ++scratch_accesses;
                 }
                 latency += access;
+                if (log) {
+                    log->memRow[id] =
+                        static_cast<uint32_t>(log->mem.size());
+                    log->mem.push_back({ii_start, junction_start, refill});
+                }
             }
 
             nf = start + cn.initInterval;
@@ -401,24 +350,15 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                 taskStall[cn.task] += start - ready;
         }
 
-        if (cost) {
-            cost->start = started;
-            cost->finish = end_time;
+        if (log) {
+            log->start[id] = started;
+            log->rank[id] = static_cast<uint32_t>(processed - 1);
         }
-        if (trace)
-            trace->push_back({id,
-                              cd.nodeOf[id] == kNoId32
-                                  ? nullptr
-                                  : cd.nodes[cd.nodeOf[id]],
-                              cd.invocation[id], ready, started,
-                              end_time});
         finish[id] = end_time;
         result.cycles = std::max(result.cycles, end_time);
         for (uint32_t k = cd.depdStart[id]; k < cd.depdStart[id + 1];
              ++k) {
             uint32_t dep_id = cd.dependents[k];
-            if (prof && end_time > readyAt[dep_id])
-                prof->events[dep_id].critDep = id;
             readyAt[dep_id] = std::max(readyAt[dep_id], end_time);
             if (--pending[dep_id] == 0)
                 queue.push(dep_id);
@@ -448,10 +388,11 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             result.stats.inc(cd.tasks[t].statPrefix + "events",
                              taskEvents[t]);
     }
-    if (prof)
-        for (size_t i = 0; i < structUse.size(); ++i)
-            if (structUse[i].accesses)
-                prof->structUse[cd.structs[i].s] = structUse[i];
+    // The log takes over the scheduler's own ready and finish columns.
+    if (log) {
+        log->ready = std::move(readyAt);
+        log->finish = std::move(finish);
+    }
 
     if (fault) {
         // Dynamic watchdog: the queue draining with events still
@@ -490,6 +431,17 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                               mstate->queueDepth);
     }
     return result;
+}
+
+std::vector<uint32_t>
+ScheduleLog::order() const
+{
+    std::vector<uint32_t> out(
+        rank.size() - std::count(rank.begin(), rank.end(), kNoId32));
+    for (uint32_t e = 0; e < rank.size(); ++e)
+        if (processed(e))
+            out[rank[e]] = e;
+    return out;
 }
 
 } // namespace muir::sim

@@ -28,15 +28,41 @@ struct TimingResult
     StatSet stats;
 };
 
-/** One scheduled event, for timeline dumps / waveform-style views. */
-struct TimingTraceRow
+/**
+ * What one replay did, in flat columns, written when RunContext::log
+ * is set. Every observer derives what it needs from it after the run
+ * (eventCost in sim/profile.hh), so none runs in the replay loop.
+ */
+struct ScheduleLog
 {
-    uint64_t event = 0;
-    const uir::Node *node = nullptr; // nullptr = completion marker.
-    uint32_t invocation = 0;
-    uint64_t ready = 0;
-    uint64_t start = 0;
-    uint64_t finish = 0;
+    /** MemStages::dramStart of a hit or a scratchpad access. */
+    static constexpr uint64_t kNoRefill = ~uint64_t(0);
+
+    /** A load's or store's start after the II and junction stages
+     *  (the bank stage gives its start), and its line refill. */
+    struct MemStages
+    {
+        uint64_t iiStart = 0;
+        uint64_t junctionStart = 0;
+        uint64_t dramStart = kNoRefill;
+    };
+
+    /** Per event, by compiled id; meaningful once processed. */
+    std::vector<uint64_t> ready;
+    std::vector<uint64_t> start;
+    std::vector<uint64_t> finish;
+    /** Per event: its place in the processing order; kNoId32 if it
+     *  never ran (a tripped or hung run). */
+    std::vector<uint32_t> rank;
+    /** Per event: its row in `mem`; kNoId32 if it has none. */
+    std::vector<uint32_t> memRow;
+    /** One row per processed load or store, in processing order. */
+    std::vector<MemStages> mem;
+
+    bool processed(uint32_t e) const { return rank[e] != kNoId32; }
+
+    /** The processed events, in processing order. */
+    std::vector<uint32_t> order() const;
 };
 
 /**
@@ -48,16 +74,16 @@ struct TimingTraceRow
  * Re-entrant and thread-safe under the RunContext contract
  * (sim/run_context.hh): @p compiled is read-only here and may be
  * shared across any number of concurrent calls, the same contract as
- * the shared Accelerator; @p ctx (and every hook it points to) must be
- * private to this call. All local scheduling state — resource
- * free-lists, cache tags, ready queue — lives on this call's stack.
+ * the shared Accelerator; @p ctx (and the log and harness it points
+ * to) must be private to this call. All local scheduling state —
+ * resource free-lists, cache tags, ready queue — lives on this call's
+ * stack.
  *
- * A default RunContext is a plain run; see RunContext for the hook
- * semantics and the bit-identical observational guarantee.
+ * A default RunContext is a plain run; see RunContext.
  */
 TimingResult scheduleDdg(const CompiledDdg &compiled, RunContext &ctx);
 
-/** Plain compiled replay: no hooks, no fault harness. */
+/** Plain compiled replay: no log, no fault harness. */
 inline TimingResult
 scheduleDdg(const CompiledDdg &compiled)
 {

@@ -44,9 +44,8 @@ runOn(const Workload &w, const uir::Accelerator &accel,
     result.verdict = std::move(sim.verdict);
     result.stats = std::move(sim.stats);
     result.profile = std::move(sim.profile);
-    result.profileData = std::move(sim.profileData);
     result.timeline = std::move(sim.timeline);
-    result.trace = std::move(sim.trace);
+    result.log = std::move(sim.log);
     result.compiled = std::move(sim.compiled);
     return result;
 }

@@ -33,14 +33,15 @@ struct RunResult
     StatSet stats;
     /** μprof results (set when RunOptions::profile). */
     std::shared_ptr<sim::ProfileResult> profile;
-    std::shared_ptr<sim::ProfileCollector> profileData;
     /** μscope windowed telemetry (set when RunOptions::timeline). */
     std::shared_ptr<sim::Timeline> timeline;
-    /** Per-event timeline (set when RunOptions::trace). */
-    std::vector<sim::TimingTraceRow> trace;
+    /** The schedule log (set when RunOptions::profile, trace or
+     *  timeline), to read against `compiled` (sim::SimResult::log). */
+    std::shared_ptr<const sim::ScheduleLog> log;
     /** μfit verdict (set when RunOptions::watchdog). */
     sim::FaultVerdict verdict;
-    /** Shared replay index (set when RunOptions::keepCompiled). */
+    /** Shared replay index (set when RunOptions::keepCompiled or a log
+     *  is kept, unless RunOptions::compiled was passed). */
     std::shared_ptr<const sim::CompiledDdg> compiled;
 };
 

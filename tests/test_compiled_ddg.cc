@@ -364,16 +364,22 @@ TEST(CompiledDdg, StandsAloneAfterItsRecordIsDestroyed)
 
         EXPECT_EQ(direct.cycles, replay.cycles) << name;
         EXPECT_EQ(direct.stats.toJson(), replay.stats.toJson()) << name;
-        ASSERT_EQ(direct.trace.size(), replay.trace.size()) << name;
-        for (size_t i = 0; i < direct.trace.size(); ++i) {
-            const sim::TimingTraceRow &a = direct.trace[i];
-            const sim::TimingTraceRow &b = replay.trace[i];
-            ASSERT_EQ(a.event, b.event) << name << " row " << i;
-            ASSERT_EQ(a.node, b.node) << name << " row " << i;
-            ASSERT_EQ(a.invocation, b.invocation) << name << " row " << i;
-            ASSERT_EQ(a.ready, b.ready) << name << " row " << i;
-            ASSERT_EQ(a.start, b.start) << name << " row " << i;
-            ASSERT_EQ(a.finish, b.finish) << name << " row " << i;
+        ASSERT_TRUE(direct.log && direct.compiled && replay.log) << name;
+        const sim::ScheduleLog &a = *direct.log;
+        const sim::ScheduleLog &b = *replay.log;
+        EXPECT_EQ(a.ready, b.ready) << name;
+        EXPECT_EQ(a.start, b.start) << name;
+        EXPECT_EQ(a.finish, b.finish) << name;
+        EXPECT_EQ(a.rank, b.rank) << name;
+        EXPECT_EQ(a.memRow, b.memRow) << name;
+        ASSERT_EQ(a.mem.size(), b.mem.size()) << name;
+        for (size_t i = 0; i < a.mem.size(); ++i) {
+            ASSERT_EQ(a.mem[i].iiStart, b.mem[i].iiStart)
+                << name << " mem row " << i;
+            ASSERT_EQ(a.mem[i].junctionStart, b.mem[i].junctionStart)
+                << name << " mem row " << i;
+            ASSERT_EQ(a.mem[i].dramStart, b.mem[i].dramStart)
+                << name << " mem row " << i;
         }
         EXPECT_EQ(sim::profileJson(*direct.profile),
                   sim::profileJson(*replay.profile))
@@ -381,10 +387,9 @@ TEST(CompiledDdg, StandsAloneAfterItsRecordIsDestroyed)
         EXPECT_EQ(sim::timelineJson(*direct.timeline),
                   sim::timelineJson(*replay.timeline))
             << name;
-        EXPECT_EQ(sim::chromeTraceJson(direct.trace, *direct.profileData,
+        EXPECT_EQ(sim::chromeTraceJson(*direct.compiled, a,
                                        direct.timeline.get()),
-                  sim::chromeTraceJson(replay.trace, *replay.profileData,
-                                       replay.timeline.get()))
+                  sim::chromeTraceJson(*cd, b, replay.timeline.get()))
             << name;
 
         // Every schedule-level fault replays an edited copy of the

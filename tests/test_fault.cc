@@ -229,6 +229,22 @@ TEST(Watchdog, CycleBudgetTripsAsBudgetExceeded)
               std::string::npos);
 }
 
+TEST(WatchdogDeath, ScheduleLevelFaultTakesNoObservers)
+{
+    // scheduleFault replays an edited copy of the index; a log of that
+    // replay would not read against the index the caller holds.
+    CampaignResult r = campaignOn("saxpy", "stuckvalid", 1, 5);
+    ASSERT_TRUE(r.ok) << r.error;
+    workloads::Workload w = workloads::buildWorkload("saxpy");
+    auto accel = workloads::lowerBaseline(w);
+    ir::MemoryImage mem(*w.module);
+    w.bind(mem);
+    SimOptions opts;
+    opts.fault = &r.records[0].plan;
+    opts.profile = true;
+    EXPECT_DEATH(simulate(*accel, mem, {}, opts), "takes no observers");
+}
+
 TEST(Watchdog, GenerousBudgetDoesNotTrip)
 {
     workloads::Workload w = workloads::buildWorkload("fib");

@@ -104,9 +104,9 @@ TEST(Profile, DisabledIsBitIdentical)
     // Same schedule implies the same counters, key for key.
     EXPECT_EQ(plain.stats.dump(), profiled.stats.dump());
     EXPECT_EQ(plain.profile, nullptr);
-    EXPECT_TRUE(plain.trace.empty());
+    EXPECT_EQ(plain.log, nullptr);
     ASSERT_NE(profiled.profile, nullptr);
-    EXPECT_FALSE(profiled.trace.empty());
+    ASSERT_NE(profiled.log, nullptr);
 }
 
 TEST(Profile, ChainKernelCriticalPathPartitions)
@@ -185,9 +185,9 @@ TEST(Profile, ChromeTraceJsonIsValid)
     opts.trace = true;
     auto run = workloads::runOn(w, *accel, opts);
     ASSERT_TRUE(run.check.empty()) << run.check;
-    ASSERT_NE(run.profileData, nullptr);
-    ASSERT_FALSE(run.trace.empty());
-    std::string json = chromeTraceJson(run.trace, *run.profileData);
+    ASSERT_NE(run.log, nullptr);
+    ASSERT_NE(run.compiled, nullptr);
+    std::string json = chromeTraceJson(*run.compiled, *run.log);
     std::string error;
     EXPECT_TRUE(jsonValidate(json, &error)) << error;
     // Chrome trace-event shape: complete events with timing fields.

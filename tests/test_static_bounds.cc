@@ -11,9 +11,9 @@
  *   - whole-run: DesignBound::cycleLb <= simulated total cycles;
  *   - per-task: for every simulated invocation of a loop task with
  *     T >= 2 iterations, iiLb * (T - 1) <= the invocation's event
- *     span (max finish - min start over its timing-trace rows). A
+ *     span (max finish - min start over its logged node events). A
  *     loop-control node fires once per iteration plus once to exit,
- *     so a trace with L loop-control events measures T = L - 1.
+ *     so an invocation with L loop-control events measures T = L - 1.
  */
 #include <algorithm>
 #include <map>
@@ -39,7 +39,7 @@ using uir::analysis::IiBoundAnalysis;
 namespace
 {
 
-/** Per-invocation aggregates from the timing trace. */
+/** Per-invocation aggregates from the schedule log. */
 struct InvocationSpan
 {
     const Task *task = nullptr;
@@ -50,20 +50,20 @@ struct InvocationSpan
 
 /** @return the number of invocations actually measured. */
 uint64_t
-checkIiSoundness(const IiBoundAnalysis &ii,
-                 const std::vector<sim::TimingTraceRow> &trace,
-                 const std::string &label)
+checkIiSoundness(const IiBoundAnalysis &ii, const sim::CompiledDdg &cd,
+                 const sim::ScheduleLog &log, const std::string &label)
 {
     uint64_t measured = 0;
     std::map<uint32_t, InvocationSpan> invs;
-    for (const sim::TimingTraceRow &r : trace) {
-        if (r.node == nullptr)
+    for (uint32_t e = 0; e < cd.numEvents; ++e) {
+        if (cd.nodeOf[e] == sim::kNoId32)
             continue; // Completion marker.
-        InvocationSpan &v = invs[r.invocation];
-        v.task = r.node->parent();
-        v.minStart = std::min(v.minStart, r.start);
-        v.maxFinish = std::max(v.maxFinish, r.finish);
-        if (v.task != nullptr && r.node == v.task->loopControl())
+        const uir::Node *node = cd.nodes[cd.nodeOf[e]];
+        InvocationSpan &v = invs[cd.invocation[e]];
+        v.task = node->parent();
+        v.minStart = std::min(v.minStart, log.start[e]);
+        v.maxFinish = std::max(v.maxFinish, log.finish[e]);
+        if (v.task != nullptr && node == v.task->loopControl())
             ++v.lcEvents;
     }
     for (const auto &[id, v] : invs) {
@@ -119,7 +119,7 @@ checkDesign(const workloads::Workload &w, Accelerator &accel,
     EXPECT_LE(bound.cycleLb, run.cycles)
         << label << ": static cycle bound (" << bound.bottleneckKind
         << " " << bound.bottleneckName << ") exceeds simulation";
-    return checkIiSoundness(ii, run.trace, label);
+    return checkIiSoundness(ii, *run.compiled, *run.log, label);
 }
 
 } // namespace

@@ -152,6 +152,31 @@ TEST(Timeline, JsonIsValid)
     EXPECT_EQ(parsed.get("cycles")->asU64(), run.cycles);
 }
 
+TEST(Timeline, TrippedRunsLeaveUnprocessedEventsOut)
+{
+    // A run the watchdog stops halfway processed only part of its
+    // record. An event that never ran has no ready time to measure
+    // slack against and no start to count.
+    for (const std::string name : {"saxpy", "gemm", "fib"}) {
+        SCOPED_TRACE(name);
+        workloads::RunOptions opts;
+        opts.profile = true;
+        opts.timeline = true;
+        opts.watchdog = true;
+        opts.maxCycles = runBaseline(name, {}).cycles / 2;
+        auto run = runBaseline(name, opts);
+        ASSERT_TRUE(run.verdict.hang.budgetExceeded);
+        for (const auto &[bucket, count] : run.profile->slackHistogram)
+            EXPECT_LE(bucket, 63u) << count << " edges";
+        uint64_t starts = 0;
+        for (uint64_t n : run.timeline->eventStarts)
+            starts += n;
+        // "events" counts the processed node firings (completions
+        // excluded, as in the timeline).
+        EXPECT_EQ(starts, run.stats.get("events"));
+    }
+}
+
 TEST(Timeline, RenderedTablesAreNonEmpty)
 {
     workloads::RunOptions opts;
@@ -168,18 +193,16 @@ TEST(Timeline, ChromeTraceIsByteStableAcrossRuns)
     opts.profile = true;
     opts.trace = true;
     opts.timeline = true;
-    // Keep the design alive: trace rows reference its nodes, and
-    // chromeTraceJson reads them when rendering slice tracks.
+    // Keep the design alive: the replay index references its nodes,
+    // and chromeTraceJson reads them when rendering slice tracks.
     auto w = workloads::buildWorkload("relu");
     auto accel = workloads::lowerBaseline(w);
     auto a = workloads::runOn(w, *accel, opts);
     auto b = workloads::runOn(w, *accel, opts);
     ASSERT_TRUE(a.check.empty()) << a.check;
     ASSERT_TRUE(b.check.empty()) << b.check;
-    std::string ta =
-        chromeTraceJson(a.trace, *a.profileData, a.timeline.get());
-    std::string tb =
-        chromeTraceJson(b.trace, *b.profileData, b.timeline.get());
+    std::string ta = chromeTraceJson(*a.compiled, *a.log, a.timeline.get());
+    std::string tb = chromeTraceJson(*b.compiled, *b.log, b.timeline.get());
     EXPECT_EQ(ta, tb);
     std::string error;
     EXPECT_TRUE(jsonValidate(ta, &error)) << error;

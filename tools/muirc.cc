@@ -452,8 +452,7 @@ main(int argc, char **argv)
     notePhase("phase.compile");
 
     // µprof wiring: --critical-path/--emit-trace-json/--report-json all
-    // need the profile collector; the JSON timeline also needs the
-    // per-event rows.
+    // need the profile; the trace exports read the schedule log.
     bool want_profile = profile || critical_path || !trace_json.empty() ||
                         !report_json.empty();
     bool want_trace = !trace_path.empty() || !trace_json.empty();
@@ -607,26 +606,12 @@ main(int argc, char **argv)
         return emitMetrics() ? 0 : 1;
     }
 
-    if (!trace_path.empty()) {
-        std::ostringstream csv;
-        csv << "event,node,task,kind,invocation,ready,start,finish\n";
-        for (const auto &r : run.trace) {
-            csv << r.event << ","
-                << csvQuote(r.node ? r.node->name() : "<completion>")
-                << ","
-                << csvQuote(r.node ? r.node->parent()->name() : "")
-                << ","
-                << csvQuote(r.node ? uir::nodeKindName(r.node->kind())
-                                   : "done")
-                << "," << r.invocation << "," << r.ready << ","
-                << r.start << "," << r.finish << "\n";
-        }
-        if (!writeFile(trace_path, csv.str()))
-            return 1;
-    }
+    if (!trace_path.empty() &&
+        !writeFile(trace_path, sim::traceCsv(*run.compiled, *run.log)))
+        return 1;
     if (!trace_json.empty() &&
         !writeFile(trace_json,
-                   sim::chromeTraceJson(run.trace, *run.profileData,
+                   sim::chromeTraceJson(*run.compiled, *run.log,
                                         run.timeline.get())))
         return 1;
     if (profile || critical_path)
