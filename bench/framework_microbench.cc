@@ -78,7 +78,8 @@ BM_FunctionalExecution(benchmark::State &state)
     for (auto _ : state) {
         ir::MemoryImage mem(*w.module);
         w.bind(mem);
-        auto outs = sim::execFunctional(*accel, mem);
+        sim::UirExecutor exec(*accel, mem, /*record_ddg=*/false);
+        auto outs = exec.run();
         benchmark::DoNotOptimize(outs.size());
     }
     state.SetItemsProcessed(state.iterations() * 24 * 24 * 24);

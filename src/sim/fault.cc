@@ -891,29 +891,22 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     ir::MemoryImage golden_mem(module);
     if (bind)
         bind(golden_mem);
-    UirExecutor exec(accel, golden_mem, /*record_ddg=*/true);
-    std::vector<RuntimeValue> golden_outs = exec.run(args);
-    FaultHarness golden_harness;
-    golden_harness.watchdog.enabled = true;
-    golden_harness.watchdog.maxCycles = spec.maxCycles;
-    ScheduleLog golden_log;
-    RunContext golden_ctx;
-    golden_ctx.log = &golden_log;
-    golden_ctx.fault = &golden_harness;
-    const CompiledDdg golden_ddg = compileDdg(accel, exec.takeDdg());
-    TimingResult golden = scheduleDdg(golden_ddg, golden_ctx);
-    if (golden_harness.verdict.hang.tripped()) {
+    SimResult golden = simulate(
+        accel, golden_mem, args,
+        {.log = true, .watchdog = true, .maxCycles = spec.maxCycles});
+    if (golden.verdict.hang.tripped()) {
         out.error = "golden (fault-free) run tripped the watchdog:\n" +
-                    golden_harness.verdict.hang.render();
+                    golden.verdict.hang.render();
         return out;
     }
+    const std::vector<RuntimeValue> &golden_outs = golden.outputs;
+    const CompiledDdg &golden_ddg = *golden.compiled;
     out.goldenCycles = golden.cycles;
-    out.goldenFirings = exec.firings();
+    out.goldenFirings = golden.firings;
     out.maxCycles =
         spec.maxCycles ? spec.maxCycles : golden.cycles * 8 + 4096;
-    uint64_t max_firings = exec.firings() * 8 + 65536;
-    SiteCatalog sites =
-        buildCatalog(golden_ddg, golden_mem, golden_log);
+    uint64_t max_firings = golden.firings * 8 + 65536;
+    SiteCatalog sites = buildCatalog(golden_ddg, golden_mem, *golden.log);
 
     const std::string spec_text = renderFaultSpec(spec.fault);
 

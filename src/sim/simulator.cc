@@ -18,9 +18,8 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
                 "simulate: a value fault cannot reuse a compiled DDG");
     // A schedule-level fault replays an edited copy of the index; a log
     // of it would not read against the index the caller holds.
-    const bool keep_log = options.profile || options.trace || options.timeline;
-    muir_assert(!schedule_fault || !keep_log,
-                "simulate: a schedule-level fault takes no observers");
+    muir_assert(!schedule_fault || !options.log,
+                "simulate: a schedule-level fault takes no log");
     muir_assert(!options.compiled || options.compiled->design == &accel,
                 "simulate: compiled DDG belongs to another design");
     UirExecutor exec(accel, mem, /*record_ddg=*/!options.compiled);
@@ -45,17 +44,17 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     result.firings = exec.firings();
 
     // Compile unless handed an index. The record moves into it: the
-    // replay and every post-processing step below read only the index.
+    // replay and every post-pass over the log read only the index.
     std::shared_ptr<const CompiledDdg> owned;
     if (!options.compiled)
         owned = std::make_shared<const CompiledDdg>(
             compileDdg(accel, exec.takeDdg()));
     const CompiledDdg &cd = options.compiled ? *options.compiled : *owned;
-    if (options.keepCompiled || keep_log)
+    if (options.keepCompiled || options.log)
         result.compiled = owned;
 
     std::shared_ptr<ScheduleLog> log;
-    if (keep_log)
+    if (options.log)
         log = std::make_shared<ScheduleLog>();
     FaultHarness harness;
     bool use_harness = options.fault || options.watchdog;
@@ -72,22 +71,8 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     result.verdict = std::move(harness.verdict);
     result.cycles = timing.cycles;
     result.stats = std::move(timing.stats);
-    if (options.profile)
-        result.profile = std::make_shared<ProfileResult>(
-            buildProfile(cd, *log, result.cycles));
-    if (options.timeline)
-        result.timeline = std::make_shared<Timeline>(buildTimeline(
-            cd, *log, result.cycles, options.timelineWindows));
     result.log = std::move(log);
     return result;
-}
-
-std::vector<ir::RuntimeValue>
-execFunctional(const uir::Accelerator &accel, ir::MemoryImage &mem,
-               const std::vector<ir::RuntimeValue> &args)
-{
-    UirExecutor exec(accel, mem, /*record_ddg=*/false);
-    return exec.run(args);
 }
 
 } // namespace muir::sim

@@ -12,27 +12,23 @@
 #include "sim/compiled_ddg.hh"
 #include "sim/exec.hh"
 #include "sim/fault.hh"
-#include "sim/profile.hh"
-#include "sim/timeline.hh"
 #include "sim/timing.hh"
 
 namespace muir::sim
 {
 
-/** What to collect beyond cycles/stats (all off by default). */
+/** How to run (every switch off by default). */
 struct SimOptions
 {
-    /** Build a full μprof ProfileResult (and keep the log). */
-    bool profile = false;
-    /** Keep the schedule log (for the trace exports). */
-    bool trace = false;
-    /** Build the μscope windowed timeline (and keep the log). */
-    bool timeline = false;
-    /** Timeline window-count target (0 = auto ≈ 256). */
-    unsigned timelineWindows = 0;
+    /**
+     * Keep the schedule log in SimResult::log. Every observer is a
+     * post-pass over it: buildProfile, buildTimeline, chromeTraceJson
+     * and traceCsv, each read against the index the run replayed.
+     */
+    bool log = false;
     /** μfit fault plan to inject (nullptr = bit-identical baseline);
-     *  a schedule-level kind goes through scheduleFault and combines
-     *  with none of profile, trace and timeline. */
+     *  a schedule-level kind goes through scheduleFault and does not
+     *  combine with `log`. */
     const FaultPlan *fault = nullptr;
     /** Arm the dynamic hang watchdog (cycle budget + drain detection). */
     bool watchdog = false;
@@ -48,13 +44,13 @@ struct SimOptions
      * and the compile. The functional run still happens (outputs /
      * golden checks), just without the record. Must have been
      * compiled from this accelerator; the index alone serves the
-     * replay, µprof, µscope and hang diagnosis. Combines with a
-     * schedule-level `fault` (it edits a copy), not with a value fault
-     * (it changes the DDG).
+     * replay, the log's post-passes and hang diagnosis. Combines
+     * with a schedule-level `fault` (it edits a copy), not with a
+     * value fault (it changes the DDG).
      */
     const CompiledDdg *compiled = nullptr;
     /** Compile the recorded DDG and return it in SimResult::compiled
-     *  for reuse by later runs (a kept log keeps it too). Ignored when
+     *  for reuse by later runs (`log` keeps it too). Ignored when
      *  `compiled` is set. */
     bool keepCompiled = false;
 };
@@ -70,13 +66,9 @@ struct SimResult
     uint64_t firings = 0;
     /** Dynamic events + contention counters. */
     StatSet stats;
-    /** μprof attribution (set when SimOptions::profile). */
-    std::shared_ptr<ProfileResult> profile;
-    /** μscope windowed telemetry (set when SimOptions::timeline). */
-    std::shared_ptr<Timeline> timeline;
-    /** The schedule log (set when SimOptions::profile, trace or
-     *  timeline); read it against `compiled`, or against
-     *  SimOptions::compiled when that was passed. */
+    /** The schedule log (set when SimOptions::log); read it against
+     *  `compiled`, or against SimOptions::compiled when that was
+     *  passed. */
     std::shared_ptr<const ScheduleLog> log;
     /** μfit verdict (watchdog diagnosis, detector hits). */
     FaultVerdict verdict;
@@ -86,8 +78,8 @@ struct SimResult
     Outcome abortOutcome = Outcome::Detected;
     /** Human-readable abort reason. */
     std::string abortDetail;
-    /** The replay index (set when SimOptions::keepCompiled or a log
-     *  is kept, unless SimOptions::compiled was passed): pass as
+    /** The replay index (set when SimOptions::keepCompiled or ::log,
+     *  unless SimOptions::compiled was passed): pass as
      *  SimOptions::compiled to later runs of the same design+inputs.
      *  Shared and immutable — safe across concurrent replays. */
     std::shared_ptr<const CompiledDdg> compiled;
@@ -100,10 +92,5 @@ struct SimResult
 SimResult simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
                    const std::vector<ir::RuntimeValue> &args = {},
                    const SimOptions &options = {});
-
-/** Functional-only run (no DDG, no timing) — for fast golden checks. */
-std::vector<ir::RuntimeValue>
-execFunctional(const uir::Accelerator &accel, ir::MemoryImage &mem,
-               const std::vector<ir::RuntimeValue> &args = {});
 
 } // namespace muir::sim

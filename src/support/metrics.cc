@@ -272,6 +272,7 @@ summarizeSim(const Snapshot &snapshot)
     s.firings = snapshot.counter("sim.firings");
     s.cycles = snapshot.counter("sim.cycles");
     s.invocations = snapshot.counter("sim.invocations");
+    s.compileWallMs = snapshot.timerMs("sim.compile_ddg");
     s.scheduleWallMs = snapshot.timerMs("sim.schedule");
     double wall_s = s.scheduleWallMs / 1000.0;
     if (wall_s > 0.0) {
@@ -331,6 +332,7 @@ hostPerfJson(const Snapshot &snapshot, const std::string &workload)
     jw.field("node_firings", sim.firings);
     jw.field("cycles", sim.cycles);
     jw.field("invocations", sim.invocations);
+    jw.field("compile_wall_ms", sim.compileWallMs);
     jw.field("schedule_wall_ms", sim.scheduleWallMs);
     jw.field("events_per_sec", sim.eventsPerSec);
     jw.field("sim_cycles_per_wall_sec", sim.simCyclesPerWallSec);
@@ -395,6 +397,7 @@ renderSim(const Snapshot &snapshot)
                                 (unsigned long long)sim.cycles)});
     t.addRow({"invocations",
               fmt("%llu", (unsigned long long)sim.invocations)});
+    t.addRow({"compile wall ms", fmt("%.3f", sim.compileWallMs)});
     t.addRow({"schedule wall ms", fmt("%.3f", sim.scheduleWallMs)});
     t.addRow({"events / sec", fmt("%.0f", sim.eventsPerSec)});
     t.addRow({"sim cycles / wall sec",

@@ -30,6 +30,7 @@
  * report emitters):
  *
  *   timers      phase.compile / phase.optimize / phase.simulate
+ *               sim.compile_ddg (wall time inside compileDdg)
  *               sim.schedule (wall time inside scheduleDdg)
  *   counters    sim.runs, sim.events, sim.firings, sim.cycles,
  *               sim.invocations,
@@ -246,6 +247,7 @@ struct SimSummary
     uint64_t firings = 0;
     uint64_t cycles = 0;
     uint64_t invocations = 0;
+    double compileWallMs = 0.0;
     double scheduleWallMs = 0.0;
     double eventsPerSec = 0.0;
     double simCyclesPerWallSec = 0.0;

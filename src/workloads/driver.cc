@@ -27,27 +27,9 @@ runOn(const Workload &w, const uir::Accelerator &accel,
 {
     ir::MemoryImage mem(*w.module);
     w.bind(mem);
-    sim::SimOptions sopts;
-    sopts.profile = options.profile;
-    sopts.trace = options.trace;
-    sopts.timeline = options.timeline;
-    sopts.timelineWindows = options.timelineWindows;
-    sopts.watchdog = options.watchdog;
-    sopts.maxCycles = options.maxCycles;
-    sopts.compiled = options.compiled;
-    sopts.keepCompiled = options.keepCompiled;
-    sim::SimResult sim = sim::simulate(accel, mem, {}, sopts);
-    RunResult result;
-    result.cycles = sim.cycles;
-    result.firings = sim.firings;
-    result.check = w.check(mem);
-    result.verdict = std::move(sim.verdict);
-    result.stats = std::move(sim.stats);
-    result.profile = std::move(sim.profile);
-    result.timeline = std::move(sim.timeline);
-    result.log = std::move(sim.log);
-    result.compiled = std::move(sim.compiled);
-    return result;
+    // A braced list evaluates in order: the check reads the memory the
+    // simulation left.
+    return {sim::simulate(accel, mem, {}, options), w.check(mem)};
 }
 
 } // namespace muir::workloads

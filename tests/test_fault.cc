@@ -241,8 +241,8 @@ TEST(WatchdogDeath, ScheduleLevelFaultTakesNoObservers)
     w.bind(mem);
     SimOptions opts;
     opts.fault = &r.records[0].plan;
-    opts.profile = true;
-    EXPECT_DEATH(simulate(*accel, mem, {}, opts), "takes no observers");
+    opts.log = true;
+    EXPECT_DEATH(simulate(*accel, mem, {}, opts), "takes no log");
 }
 
 TEST(Watchdog, GenerousBudgetDoesNotTrip)

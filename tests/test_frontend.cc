@@ -191,7 +191,7 @@ TEST(Frontend, SaxpyFunctionalEquivalence)
     MemoryImage mem(p.m);
     mem.writeFloats(p.x, xs);
     mem.writeFloats(p.y, ys);
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     auto got = mem.readFloats(p.y);
     ASSERT_EQ(want.size(), got.size());
     for (size_t i = 0; i < want.size(); ++i)
@@ -221,7 +221,7 @@ TEST(Frontend, ReduceCarriedValueAndLiveOut)
         want += 3 * i + 1;
     }
     mem.writeInts(p.x, xs);
-    auto outs = sim::execFunctional(*accel, mem);
+    auto outs = sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     ASSERT_EQ(outs.size(), 1u);
     EXPECT_EQ(outs[0].asInt(), want);
 }
@@ -243,7 +243,7 @@ TEST(Frontend, NestedLoopsBecomeTaskHierarchy)
     EXPECT_EQ(outer->childCalls()[0]->callee(), inner);
 
     MemoryImage mem(p.m);
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     auto out = mem.readInts(p.out);
     for (int i = 0; i < 8; ++i)
         for (int j = 0; j < 8; ++j)
@@ -276,7 +276,7 @@ TEST(Frontend, ParallelLoopCreatesSpawnTask)
     EXPECT_TRUE(has_sync);
 
     MemoryImage mem(p.m);
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     auto out = mem.readInts(p.out);
     for (int i = 0; i < ParallelBranchProgram::kN; ++i)
         EXPECT_EQ(out[i], i % 2 == 0 ? i * i : -i) << "element " << i;
@@ -321,7 +321,7 @@ TEST(Frontend, PredicatedStoresInSpawnBody)
     ASSERT_EQ(accel->tasks().size(), 3u);
 
     MemoryImage mem(m);
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     auto data = mem.readInts(out);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(data[i], i % 2 == 0 ? 7 : 9);

@@ -63,7 +63,7 @@ TEST(FrontendEdge, DynamicZeroBoundFromMemory)
     auto accel = lowerToUir(m, "dz");
     MemoryImage mem(m);
     mem.writeInts(n, {0});
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     for (int32_t v : mem.readInts(out))
         EXPECT_EQ(v, 0);
 }
@@ -99,7 +99,7 @@ TEST(FrontendEdge, LoopUnderConditional)
     {
         MemoryImage mem(m);
         mem.writeInts(flag, {0});
-        sim::execFunctional(*accel, mem);
+        sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
         for (int32_t v : mem.readInts(out))
             EXPECT_EQ(v, 0);
     }
@@ -107,7 +107,7 @@ TEST(FrontendEdge, LoopUnderConditional)
     {
         MemoryImage mem(m);
         mem.writeInts(flag, {1});
-        sim::execFunctional(*accel, mem);
+        sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
         auto data = mem.readInts(out);
         for (int i = 0; i < 8; ++i)
             EXPECT_EQ(data[i], i);
@@ -196,7 +196,7 @@ TEST(FrontendEdge, InductionVariableEscapesLoop)
     auto accel = lowerToUir(m, "iv");
     MemoryImage mem(m);
     mem.writeInts(n, {10});
-    auto outs = sim::execFunctional(*accel, mem);
+    auto outs = sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     ASSERT_EQ(outs.size(), 1u);
     EXPECT_EQ(outs[0].asInt(), 12); // 0,3,6,9 -> exits at 12.
 }
@@ -227,7 +227,7 @@ TEST(FrontendEdge, GuardedStoreUnderDoubleNesting)
 
     auto accel = lowerToUir(m, "gd");
     MemoryImage mem(m);
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     auto data = mem.readInts(out);
     for (int i = 0; i < 4; ++i)
         for (int j = 0; j < 4; ++j)

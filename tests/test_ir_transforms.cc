@@ -195,7 +195,7 @@ TEST(LoopUnroll, InnermostOnlyInNests)
     auto accel = frontend::lowerToUir(*w.module, "gemm");
     MemoryImage mem(*w.module);
     w.bind(mem);
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     EXPECT_EQ(w.check(mem), "");
 }
 

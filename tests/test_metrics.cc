@@ -249,6 +249,15 @@ TEST(Metrics, ScheduleDdgPopulatesSimInstruments)
     EXPECT_EQ(sim.firings, run.firings);
     EXPECT_EQ(sim.events, s.counter("sim.events"));
     EXPECT_GT(sim.eventsPerSec, 0.0);
+
+    // The run recorded and compiled its own DDG; the report shows it.
+    JsonValue perf;
+    ASSERT_TRUE(jsonParse(hostPerfJson(s, "gemm"), &perf));
+    const JsonValue *sim_obj = perf.get("sim");
+    ASSERT_NE(sim_obj, nullptr);
+    const JsonValue *compile_ms = sim_obj->get("compile_wall_ms");
+    ASSERT_NE(compile_ms, nullptr);
+    EXPECT_GT(compile_ms->asDouble(), 0.0);
 }
 
 namespace

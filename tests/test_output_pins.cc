@@ -29,7 +29,9 @@
 #include "sim/conflict.hh"
 #include "sim/exec.hh"
 #include "sim/fault.hh"
+#include "sim/profile.hh"
 #include "sim/simulator.hh"
+#include "sim/timeline.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "workloads/driver.hh"
@@ -235,21 +237,18 @@ TEST(OutputPins, ProfileTimelineAndTraceOnEveryBaseline)
     for (const std::string &name : workloads::workloadNames()) {
         workloads::Workload w = workloads::buildWorkload(name);
         auto accel = workloads::lowerBaseline(w);
-        workloads::RunOptions opts;
-        opts.profile = true;
-        opts.timeline = true;
-        opts.trace = true;
-        workloads::RunResult run = workloads::runOn(w, *accel, opts);
+        workloads::RunResult run =
+            workloads::runOn(w, *accel, {.log = true});
         ASSERT_TRUE(run.check.empty()) << name << ": " << run.check;
-        ASSERT_TRUE(run.profile && run.timeline && run.log && run.compiled)
-            << name;
+        ASSERT_TRUE(run.log && run.compiled) << name;
+        const sim::Timeline tl =
+            sim::buildTimeline(*run.compiled, *run.log, run.cycles);
         expectPinned(name + ".profile",
-                     sim::profileJson(*run.profile));
-        expectPinned(name + ".timeline",
-                     sim::timelineJson(*run.timeline));
+                     sim::profileJson(sim::buildProfile(
+                         *run.compiled, *run.log, run.cycles)));
+        expectPinned(name + ".timeline", sim::timelineJson(tl));
         expectPinned(name + ".trace",
-                     sim::chromeTraceJson(*run.compiled, *run.log,
-                                          run.timeline.get()));
+                     sim::chromeTraceJson(*run.compiled, *run.log, &tl));
         expectPinned(name + ".csv", sim::traceCsv(*run.compiled, *run.log));
     }
 }

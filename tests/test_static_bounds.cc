@@ -110,9 +110,7 @@ checkDesign(const workloads::Workload &w, Accelerator &accel,
         am.get<BoundReportAnalysis>().design();
     const IiBoundAnalysis &ii = am.get<IiBoundAnalysis>();
 
-    workloads::RunOptions opts;
-    opts.trace = true;
-    workloads::RunResult run = workloads::runOn(w, accel, opts);
+    workloads::RunResult run = workloads::runOn(w, accel, {.log = true});
     EXPECT_TRUE(run.check.empty()) << label << ": " << run.check;
 
     EXPECT_GT(bound.cycleLb, 0u) << label;

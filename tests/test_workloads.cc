@@ -43,7 +43,7 @@ TEST_P(WorkloadTest, BaselineUirMatchesGolden)
         << join(uir::verify(*accel), "\n");
     ir::MemoryImage mem(*w.module);
     w.bind(mem);
-    sim::execFunctional(*accel, mem);
+    sim::UirExecutor(*accel, mem, /*record_ddg=*/false).run();
     EXPECT_EQ(w.check(mem), "");
 }
 

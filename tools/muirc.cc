@@ -28,6 +28,7 @@
 #include "cost/cost_model.hh"
 #include "sim/exec.hh"
 #include "sim/profile.hh"
+#include "sim/timeline.hh"
 #include "sim/timing.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"
@@ -451,15 +452,13 @@ main(int argc, char **argv)
     }
     notePhase("phase.compile");
 
-    // µprof wiring: --critical-path/--emit-trace-json/--report-json all
-    // need the profile; the trace exports read the schedule log.
-    bool want_profile = profile || critical_path || !trace_json.empty() ||
-                        !report_json.empty();
-    bool want_trace = !trace_path.empty() || !trace_json.empty();
-    // µscope: the timeline rides along whenever a consumer exists —
-    // the terminal view, the trace counter tracks, or the report.
+    // µprof and µscope are post-passes over the run's schedule log,
+    // each built only for the outputs that print it; the CSV trace
+    // reads the log alone.
+    bool want_profile = profile || critical_path || !report_json.empty();
     bool want_timeline = timeline || !trace_json.empty() ||
                          !report_json.empty();
+    bool want_log = want_profile || want_timeline || !trace_path.empty();
 
     // One analysis cache for the whole invocation: the pass pipeline
     // invalidates per its preserved sets, and --lint/--analyze reuse
@@ -537,15 +536,17 @@ main(int argc, char **argv)
             return 1;
     }
 
-    workloads::RunOptions ropts;
-    ropts.profile = want_profile;
-    ropts.trace = want_trace;
-    ropts.timeline = want_timeline;
-    ropts.timelineWindows = timeline_windows;
-    ropts.watchdog = watchdog;
-    ropts.maxCycles = max_cycles;
     markPhase();
-    auto run = workloads::runOn(w, *accel, ropts);
+    auto run = workloads::runOn(
+        w, *accel,
+        {.log = want_log, .watchdog = watchdog, .maxCycles = max_cycles});
+    sim::ProfileResult prof;
+    if (want_profile)
+        prof = sim::buildProfile(*run.compiled, *run.log, run.cycles);
+    sim::Timeline tl;
+    if (want_timeline)
+        tl = sim::buildTimeline(*run.compiled, *run.log, run.cycles,
+                                timeline_windows);
     notePhase("phase.simulate");
     if (watchdog && run.verdict.hang.tripped()) {
         // Distinct exit code: a budget/deadlock trip is neither a
@@ -611,13 +612,12 @@ main(int argc, char **argv)
         return 1;
     if (!trace_json.empty() &&
         !writeFile(trace_json,
-                   sim::chromeTraceJson(*run.compiled, *run.log,
-                                        run.timeline.get())))
+                   sim::chromeTraceJson(*run.compiled, *run.log, &tl)))
         return 1;
     if (profile || critical_path)
-        std::printf("%s", sim::renderProfileText(*run.profile).c_str());
+        std::printf("%s", sim::renderProfileText(prof).c_str());
     if (timeline)
-        std::printf("%s", sim::renderTimelineText(*run.timeline).c_str());
+        std::printf("%s", sim::renderTimelineText(tl).c_str());
     if (!report_json.empty()) {
         auto synth = cost::synthesize(*accel);
         std::ostringstream os;
@@ -659,8 +659,8 @@ main(int argc, char **argv)
         jw.field("asic_ghz", synth.asicGhz);
         jw.end();
         jw.rawField("stats", run.stats.toJson());
-        jw.rawField("profile", sim::profileJson(*run.profile));
-        jw.rawField("timeline", sim::timelineJson(*run.timeline));
+        jw.rawField("profile", sim::profileJson(prof));
+        jw.rawField("timeline", sim::timelineJson(tl));
         jw.rawField("hostperf",
                     metrics::hostPerfJson(host_registry.snapshot(),
                                           workload));
