@@ -123,7 +123,8 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
         // One reference execution freezes the replay index the cached
         // design hands every replay (sim/compiled_ddg.hh): execution
         // is deterministic over the workload's fixed inputs, so the
-        // record is the same one every replay would produce.
+        // record and the functional result it carries are the ones
+        // every replay would produce, and no replay executes again.
         RawSpan span(t, "compile.record", parent);
         ir::MemoryImage mem(*design->workload.module);
         design->workload.bind(mem);

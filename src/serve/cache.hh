@@ -53,10 +53,10 @@ struct CompiledDesign
      * The design's replay index (sim/compiled_ddg.hh), recorded from
      * one reference execution at compile time. Execution is
      * deterministic, so every replay of this (design, inputs) pair
-     * records the same DDG; sharing the compiled freeze lets replays
-     * skip both the recording and the CSR rebuild. The reference
-     * record is dropped once compiled: the cache holds only the
-     * index. Immutable, like
+     * records the same DDG and result; sharing the compiled freeze,
+     * which carries that result, lets replays skip execution, the
+     * recording and the CSR rebuild. The reference record is dropped
+     * once compiled: the cache holds only the index. Immutable, like
      * everything else here — any number of concurrent replays read it.
      */
     std::shared_ptr<const sim::CompiledDdg> compiled;

@@ -481,8 +481,9 @@ Server::runJob(Job &&job)
                 : options_.defaultMaxCycles;
         if (design->compiled) {
             // Compile-once replay: the cached design carries its
-            // frozen DDG, so this run skips the recording and the CSR
-            // rebuild (sim/compiled_ddg.hh reuse contract).
+            // frozen DDG and that run's functional result, so this run
+            // skips execution, the recording and the CSR rebuild
+            // (sim/compiled_ddg.hh reuse contract).
             ro.compiled = design->compiled.get();
             metrics_.add("serve.compiled_ddg.reuse");
         }

@@ -254,7 +254,8 @@ ddgBytes(const Ddg &ddg)
            vecBytes(ddg.memDepBits) + vecBytes(ddg.addr) +
            vecBytes(ddg.words) + vecBytes(ddg.flags) +
            vecBytes(ddg.invocation) + vecBytes(ddg.nodeOf) +
-           vecBytes(ddg.invTask) + vecBytes(ddg.nodes);
+           vecBytes(ddg.invTask) + vecBytes(ddg.nodes) +
+           vecBytes(ddg.writes);
 }
 
 size_t

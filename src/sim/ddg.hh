@@ -17,6 +17,12 @@
  * DDG exists in this one form and one record serves every setting of
  * those parameters.
  *
+ * The record also carries the functional result of the run that made
+ * it: the root live-outs, the firing count and the final value of every
+ * word a store wrote. Execution is deterministic over a workload's
+ * fixed inputs, so a replay applies that result instead of executing
+ * again (sim/simulator.hh).
+ *
  * Invariant: every dependency references an earlier event id, so a
  * single linear pass in id order is a valid topological schedule.
  * append() asserts it.
@@ -28,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "ir/interp.hh"
 #include "uir/accelerator.hh"
 
 namespace muir::sim
@@ -58,6 +65,16 @@ enum : uint8_t
     /** With kEvCompletion: the invocation's completion, not a
      *  carried-value latch. */
     kEvDone = 1u << 5,
+};
+
+/** The final value of one 4-byte memory word a run stored to. */
+struct WordWrite
+{
+    /** Byte address / 4. */
+    uint32_t word;
+    /** Its bytes in memory order (only those inside the image count
+     *  for a word the image's end cuts short). */
+    uint32_t value;
 };
 
 /** The whole execution record, one column per attribute. */
@@ -100,6 +117,16 @@ struct Ddg
     uint32_t numEvents = 0;
     uint32_t numInvocations = 0;
 
+    /** @name Functional result of the recorded run @{ */
+    /** Live-out values of the root task; no tensor is shared with the
+     *  run's caller. */
+    std::vector<ir::RuntimeValue> outputs;
+    /** Dynamic node firings. */
+    uint64_t firings = 0;
+    /** Every word some store wrote, ascending by word. */
+    std::vector<WordWrite> writes;
+    /** @} */
+
     /** Is deps[k] a memory-ordering-only dependency? */
     bool
     isMemDep(uint32_t k) const
@@ -134,9 +161,14 @@ struct Ddg
 };
 
 /**
- * Heap bytes behind the record's columns — the microbench's
- * bytes/event comparison against CompiledDdg::bytes().
+ * Heap bytes behind the record's columns and write set — the
+ * microbench's bytes/event comparison against CompiledDdg::bytes().
  */
 size_t ddgBytes(const Ddg &ddg);
+
+/** A copy of @p values whose tensors own their storage, so neither
+ *  copy sees writes through the other. */
+std::vector<ir::RuntimeValue>
+unsharedCopy(const std::vector<ir::RuntimeValue> &values);
 
 } // namespace muir::sim

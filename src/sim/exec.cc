@@ -1,6 +1,8 @@
 #include "sim/exec.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "ir/op_eval.hh"
 #include "sim/fault.hh"
@@ -91,7 +93,18 @@ UirExecutor::UirExecutor(const uir::Accelerator &accel,
         size_t words = mem.sizeBytes() / 4 + max_words;
         wordStore_.assign(words, kNoId32);
         wordRead_.assign(words, kNoId32);
+        written_.assign((mem.sizeBytes() / 4 + 64) / 64, 0);
     }
+}
+
+std::vector<RuntimeValue>
+unsharedCopy(const std::vector<RuntimeValue> &values)
+{
+    std::vector<RuntimeValue> copy = values;
+    for (RuntimeValue &v : copy)
+        if (v.tensor)
+            v.tensor = std::make_shared<std::vector<float>>(*v.tensor);
+    return copy;
 }
 
 RuntimeValue
@@ -154,6 +167,23 @@ std::vector<RuntimeValue>
 UirExecutor::run(const std::vector<RuntimeValue> &args)
 {
     InvocationResult result = invoke(*accel_.root(), args, kNoEvent);
+    if (record_) {
+        ddg_.outputs = unsharedCopy(result.liveOutValues);
+        ddg_.firings = firings_;
+        // Whole words, read back from the image: a word's bytes no
+        // store wrote keep the value every replay's image starts with.
+        const std::vector<uint8_t> &bytes = mem_.bytes();
+        ddg_.writes.clear();
+        for (size_t i = 0; i < written_.size(); ++i)
+            for (uint64_t bits = written_[i]; bits; bits &= bits - 1) {
+                uint64_t word = i * 64 + std::countr_zero(bits);
+                uint32_t value = 0;
+                std::memcpy(&value, bytes.data() + word * 4,
+                            std::min<size_t>(4, bytes.size() - word * 4));
+                ddg_.writes.push_back(
+                    {static_cast<uint32_t>(word), value});
+            }
+    }
     return result.liveOutValues;
 }
 
@@ -498,14 +528,15 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
         unsigned words = node.accessWords();
         const ir::Type &t = node.input(0).node->outputType(
             node.input(0).out);
-        if (inj_) {
-            unsigned span =
-                value.kind == RuntimeValue::Kind::Tensor
-                    ? static_cast<unsigned>(value.tensor->size() * 4)
-                : value.kind == RuntimeValue::Kind::Float ? 4
-                                                          : t.sizeBytes();
+        // The bytes the store writes, which for a tensor need not be
+        // the accessWords() its record entry covers.
+        const unsigned span =
+            value.kind == RuntimeValue::Kind::Tensor
+                ? static_cast<unsigned>(value.tensor->size() * 4)
+            : value.kind == RuntimeValue::Kind::Float ? 4
+                                                      : t.sizeBytes();
+        if (inj_)
             inj_->checkAccess(addr, span, mem_);
-        }
         if (value.kind == RuntimeValue::Kind::Tensor) {
             for (size_t k = 0; k < value.tensor->size(); ++k)
                 mem_.storeFloat(addr + k * 4, (*value.tensor)[k]);
@@ -538,6 +569,8 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
                 wordStore_[(addr >> 2) + w] = id;
                 wordRead_[(addr >> 2) + w] = kNoId32;
             }
+            for (uint64_t w = addr >> 2; w * 4 < addr + span; ++w)
+                written_[w >> 6] |= uint64_t(1) << (w & 63);
         }
         ctx.vals[node.id()] = {RuntimeValue::makeInt(0)};
         return;

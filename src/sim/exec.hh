@@ -42,7 +42,9 @@ class UirExecutor
     UirExecutor(const uir::Accelerator &accel, ir::MemoryImage &mem,
                 bool record_ddg = true);
 
-    /** Run the root task to completion; returns its live-out values. */
+    /** Run the root task to completion; returns its live-out values.
+     *  When recording, the record also takes the run's functional
+     *  result (Ddg::outputs, ::firings, ::writes). */
     std::vector<ir::RuntimeValue>
     run(const std::vector<ir::RuntimeValue> &args = {});
 
@@ -153,6 +155,8 @@ class UirExecutor
         uint32_t prev;
     };
     std::vector<Read> reads_;
+    /** One bit per word some store wrote a byte of (Ddg::writes). */
+    std::vector<uint64_t> written_;
     /** @} */
 };
 

@@ -554,13 +554,14 @@ struct SiteCatalog
     uint64_t memBase = 0;
     uint64_t memWords = 0;
     /** Events that missed to DRAM, in the golden run's processing
-     *  order (indexed by DramTimeout's miss ordinal). */
+     *  order (indexed by DramTimeout's miss ordinal); empty when the
+     *  catalog is built without the golden log. */
     std::vector<uint64_t> missEvents;
 };
 
 SiteCatalog
 buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
-             const ScheduleLog &golden_log)
+             const ScheduleLog *golden_log)
 {
     SiteCatalog sites;
     auto kindOf = [&](uint32_t id) {
@@ -600,9 +601,10 @@ buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
     }
     sites.memBase = ir::kHeapBase;
     sites.memWords = (mem.sizeBytes() - ir::kHeapBase) / 4;
-    for (uint32_t id : golden_log.order())
-        if (eventCost(cd, golden_log, id).dramBytes)
-            sites.missEvents.push_back(id);
+    if (golden_log)
+        for (uint32_t id : golden_log->order())
+            if (eventCost(cd, *golden_log, id).dramBytes)
+                sites.missEvents.push_back(id);
     return sites;
 }
 
@@ -887,13 +889,18 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
 
     // ---- Fault-free golden run, watchdog armed: a lint-clean graph
     // must never hang without a fault (cross-validation of μlint's
-    // static D-checks). Its schedule log locates the DRAM misses. ----
+    // static D-checks). Its schedule log locates the DRAM misses;
+    // only the kinds that can draw one keep it. ----
     ir::MemoryImage golden_mem(module);
     if (bind)
         bind(golden_mem);
-    SimResult golden = simulate(
-        accel, golden_mem, args,
-        {.log = true, .watchdog = true, .maxCycles = spec.maxCycles});
+    const bool want_log = spec.fault.kind == FaultKind::DramTimeout ||
+                          spec.fault.kind == FaultKind::Mix;
+    SimResult golden = simulate(accel, golden_mem, args,
+                                {.log = want_log,
+                                 .watchdog = true,
+                                 .maxCycles = spec.maxCycles,
+                                 .keepCompiled = true});
     if (golden.verdict.hang.tripped()) {
         out.error = "golden (fault-free) run tripped the watchdog:\n" +
                     golden.verdict.hang.render();
@@ -906,7 +913,8 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     out.maxCycles =
         spec.maxCycles ? spec.maxCycles : golden.cycles * 8 + 4096;
     uint64_t max_firings = golden.firings * 8 + 65536;
-    SiteCatalog sites = buildCatalog(golden_ddg, golden_mem, *golden.log);
+    SiteCatalog sites =
+        buildCatalog(golden_ddg, golden_mem, golden.log.get());
 
     const std::string spec_text = renderFaultSpec(spec.fault);
 
@@ -936,9 +944,9 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
 
     // Fan the injected runs across the pool. Everything shared here —
     // accel, module, golden outputs/memory/index, the plans — is
-    // read-only; each run owns its MemoryImage, executor, and record
-    // slot, which is the whole re-entrancy contract of
-    // sim/run_context.hh.
+    // read-only; each run owns its MemoryImage, its executor (value
+    // faults only) and its record slot, which is the whole
+    // re-entrancy contract of sim/run_context.hh.
     std::vector<InjectionRecord> records(resolved);
     parallelFor(resolved, spec.jobs, [&](size_t i) {
         const FaultPlan &plan = plans[i];
@@ -954,7 +962,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
         SimOptions sopts;
         sopts.fault = &plan;
         if (isScheduleFault(plan.kind))
-            sopts.compiled = &golden_ddg; // It would record the same.
+            sopts.compiled = &golden_ddg; // It would execute the same.
         sopts.watchdog = true;
         sopts.maxCycles = out.maxCycles;
         sopts.maxFirings = max_firings;

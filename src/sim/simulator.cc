@@ -1,9 +1,29 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace muir::sim
 {
+
+namespace
+{
+
+/** Store the words @p record's run wrote into @p mem. */
+void
+applyWrites(const Ddg &record, ir::MemoryImage &mem)
+{
+    for (const WordWrite &w : record.writes) {
+        const uint64_t addr = uint64_t(w.word) * 4;
+        mem.storeInt(addr,
+                     static_cast<unsigned>(
+                         std::min<uint64_t>(4, mem.sizeBytes() - addr)),
+                     w.value);
+    }
+}
+
+} // namespace
 
 SimResult
 simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
@@ -22,36 +42,49 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
                 "simulate: a schedule-level fault takes no log");
     muir_assert(!options.compiled || options.compiled->design == &accel,
                 "simulate: compiled DDG belongs to another design");
-    UirExecutor exec(accel, mem, /*record_ddg=*/!options.compiled);
     SimResult result;
-    std::unique_ptr<FaultInjector> inj;
-    if (options.fault) {
-        inj = std::make_unique<FaultInjector>(*options.fault,
-                                              options.maxFirings);
-        exec.setInjector(inj.get());
-    }
-    try {
-        result.outputs = exec.run(args);
-    } catch (const FaultAbort &abort) {
-        // Only μfit guards throw, and only with an injector attached:
-        // the fault-free path cannot take this branch.
-        result.aborted = true;
-        result.abortOutcome = abort.outcome;
-        result.abortDetail = abort.detail;
-        result.firings = exec.firings();
-        return result;
-    }
-    result.firings = exec.firings();
-
-    // Compile unless handed an index. The record moves into it: the
-    // replay and every post-pass over the log read only the index.
     std::shared_ptr<const CompiledDdg> owned;
-    if (!options.compiled)
+    if (options.compiled) {
+        // The index carries its run's functional result: apply it
+        // instead of executing again. Nothing executes, so a firing
+        // budget below the recorded count could not trip as it would
+        // on a direct run: refuse it.
+        const CompiledDdg &cd = *options.compiled;
+        muir_assert(!options.maxFirings || options.maxFirings >= cd.firings,
+                    "simulate: a compiled replay's firing budget is below "
+                    "its recorded %llu firings",
+                    static_cast<unsigned long long>(cd.firings));
+        applyWrites(cd, mem);
+        result.outputs = unsharedCopy(cd.outputs);
+        result.firings = cd.firings;
+    } else {
+        UirExecutor exec(accel, mem);
+        std::unique_ptr<FaultInjector> inj;
+        if (options.fault) {
+            inj = std::make_unique<FaultInjector>(*options.fault,
+                                                  options.maxFirings);
+            exec.setInjector(inj.get());
+        }
+        try {
+            result.outputs = exec.run(args);
+        } catch (const FaultAbort &abort) {
+            // Only μfit guards throw, and only with an injector
+            // attached: the fault-free path cannot take this branch.
+            result.aborted = true;
+            result.abortOutcome = abort.outcome;
+            result.abortDetail = abort.detail;
+            result.firings = exec.firings();
+            return result;
+        }
+        result.firings = exec.firings();
+        // The record moves into the index: the replay and every
+        // post-pass over the log read only the index.
         owned = std::make_shared<const CompiledDdg>(
             compileDdg(accel, exec.takeDdg()));
+        if (options.keepCompiled || options.log)
+            result.compiled = owned;
+    }
     const CompiledDdg &cd = options.compiled ? *options.compiled : *owned;
-    if (options.keepCompiled || options.log)
-        result.compiled = owned;
 
     std::shared_ptr<ScheduleLog> log;
     if (options.log)

@@ -37,16 +37,18 @@ struct SimOptions
     /** Functional firing budget for runaway detection (0 = none). */
     uint64_t maxFirings = 0;
     /**
-     * Replay this precompiled index instead of recording a fresh DDG
-     * (sim/compiled_ddg.hh). Execution is deterministic, so replaying
-     * the same (design, inputs) pair records an identical DDG every
-     * time; handing the compiled one back skips both the recording
-     * and the compile. The functional run still happens (outputs /
-     * golden checks), just without the record. Must have been
-     * compiled from this accelerator; the index alone serves the
-     * replay, the log's post-passes and hang diagnosis. Combines
-     * with a schedule-level `fault` (it edits a copy), not with a
-     * value fault (it changes the DDG).
+     * Replay this precompiled index instead of executing and recording
+     * (sim/compiled_ddg.hh). Execution is deterministic, so the same
+     * (design, inputs) pair yields an identical record and result
+     * every time; the index carries its run's outputs, firings and
+     * written words (sim/ddg.hh), which the replay stores into `mem`
+     * and copies into the result before it schedules. No executor
+     * runs. Must have been compiled from this accelerator and recorded
+     * over the same inputs; the index alone serves the replay, the
+     * log's post-passes and hang diagnosis. Combines with a
+     * schedule-level `fault` (it edits a copy), not with a value fault
+     * (it changes the execution). `maxFirings`, if set, must cover the
+     * recorded firings.
      */
     const CompiledDdg *compiled = nullptr;
     /** Compile the recorded DDG and return it in SimResult::compiled
@@ -72,7 +74,8 @@ struct SimResult
     std::shared_ptr<const ScheduleLog> log;
     /** μfit verdict (watchdog diagnosis, detector hits). */
     FaultVerdict verdict;
-    /** Functional execution aborted via a μfit guard (FaultAbort). */
+    /** Functional execution aborted via a μfit guard (FaultAbort);
+     *  never set by a compiled replay, which executes nothing. */
     bool aborted = false;
     /** Pre-classified outcome of the abort (Detected or Hang). */
     Outcome abortOutcome = Outcome::Detected;
@@ -87,7 +90,8 @@ struct SimResult
 
 /**
  * Execute the accelerator on a memory image (mutated in place) and
- * schedule the resulting DDG.
+ * schedule the resulting DDG, or apply a compiled index's recorded
+ * result to the image and schedule that index.
  */
 SimResult simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
                    const std::vector<ir::RuntimeValue> &args = {},

@@ -7,17 +7,22 @@
  * values the record and the design imply. The record itself must not
  * depend on queue depths or tile counts. The index must also stand
  * alone: an index whose executor and record are gone replays,
- * profiles and diagnoses hangs exactly like a direct run. The
+ * profiles and diagnoses hangs exactly like a direct run, and it
+ * carries that run's functional result, so a replay leaves the memory,
+ * outputs and firings a direct run does without executing. The
  * Parallel suite exercises the shared-replay contract (one immutable
  * index, many concurrent RunContexts) under TSan in CI.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "gate/bench_gate.hh"
 #include "sim/compiled_ddg.hh"
 #include "support/logging.hh"
 #include "sim/exec.hh"
@@ -68,6 +73,31 @@ record(const std::string &name, const std::string &passes = "")
     r.exec = std::make_unique<sim::UirExecutor>(*r.accel, *r.mem);
     r.exec->run({});
     return r;
+}
+
+/** Bit-exact equality of two run values, tensors by content. */
+bool
+sameBits(const ir::RuntimeValue &a, const ir::RuntimeValue &b)
+{
+    if (a.kind != b.kind || a.i != b.i || a.ptr != b.ptr ||
+        a.rows != b.rows || a.cols != b.cols ||
+        std::memcmp(&a.f, &b.f, sizeof a.f) != 0 ||
+        bool(a.tensor) != bool(b.tensor))
+        return false;
+    return !a.tensor ||
+           (a.tensor->size() == b.tensor->size() &&
+            std::memcmp(a.tensor->data(), b.tensor->data(),
+                        a.tensor->size() * sizeof(float)) == 0);
+}
+
+bool
+sameBits(const std::vector<ir::RuntimeValue> &a,
+         const std::vector<ir::RuntimeValue> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const auto &x, const auto &y) {
+                          return sameBits(x, y);
+                      });
 }
 
 } // namespace
@@ -452,6 +482,84 @@ TEST(CompiledDdg, SimulateReuseMatchesFreshRun)
     EXPECT_EQ(first.stats.toJson(), replay.stats.toJson());
 }
 
+TEST(CompiledDdg, ReplayCarriesFunctionalResult)
+{
+    // Every gate cell: a replay of the compiled index executes nothing
+    // yet leaves the memory, outputs and firings of the run that made
+    // it. The tensor baselines store more bytes than their record
+    // entries' accessWords(), so the written words must come from the
+    // bytes stored.
+    setVerbose(false);
+    std::set<std::string> cells;
+    for (const gate::GateConfig &config : gate::standardConfigs()) {
+        const std::string cell = config.workload + "/" + config.config;
+        cells.insert(cell);
+        workloads::Workload w = workloads::buildWorkload(config.workload);
+        auto accel = workloads::lowerBaseline(w);
+        if (!config.passes.empty()) {
+            uopt::PassManager pm;
+            std::string error;
+            ASSERT_TRUE(uopt::buildPipeline(pm, config.passes, &error))
+                << error;
+            pm.run(*accel);
+        }
+        ir::MemoryImage direct_mem(*w.module);
+        w.bind(direct_mem);
+        sim::SimResult direct = sim::simulate(*accel, direct_mem, {},
+                                              {.keepCompiled = true});
+        ASSERT_TRUE(direct.compiled) << cell;
+        EXPECT_EQ(direct.compiled->firings, direct.firings) << cell;
+        EXPECT_TRUE(w.check(direct_mem).empty()) << cell;
+
+        for (int rep = 0; rep < 2; ++rep) {
+            ir::MemoryImage mem(*w.module);
+            w.bind(mem);
+            sim::SimResult replay = sim::simulate(
+                *accel, mem, {}, {.compiled = direct.compiled.get()});
+            EXPECT_EQ(replay.cycles, direct.cycles) << cell;
+            EXPECT_EQ(replay.firings, direct.firings) << cell;
+            EXPECT_TRUE(mem.bytes() == direct_mem.bytes()) << cell;
+            EXPECT_TRUE(sameBits(replay.outputs, direct.outputs)) << cell;
+            EXPECT_TRUE(w.check(mem).empty()) << cell;
+            // Scribble on this replay's values: the next replay must
+            // not see it.
+            for (ir::RuntimeValue &v : replay.outputs) {
+                ++v.i;
+                if (v.tensor)
+                    std::fill(v.tensor->begin(), v.tensor->end(), -1.0f);
+            }
+        }
+    }
+    EXPECT_EQ(cells.size(), 42u);
+    for (const char *tensor : {"conv_t", "2mm_t", "relu_t"})
+        EXPECT_TRUE(cells.count(std::string(tensor) + "/baseline"))
+            << tensor;
+}
+
+TEST(CompiledDdg, ReplayedTensorOutputsOwnTheirStorage)
+{
+    // A hand-built index whose root returns a tensor: the replay hands
+    // out a copy, so writing through it changes neither the index nor
+    // the next replay.
+    Recorded r = record("saxpy");
+    sim::Ddg ddg = r.ddg();
+    ddg.outputs = {ir::RuntimeValue::makeTensor(2, 2, {1, 2, 3, 4})};
+    const sim::CompiledDdg cd = sim::compileDdg(*r.accel, std::move(ddg));
+    for (int rep = 0; rep < 2; ++rep) {
+        ir::MemoryImage mem(*r.workload.module);
+        r.workload.bind(mem);
+        sim::SimResult replay =
+            sim::simulate(*r.accel, mem, {}, {.compiled = &cd});
+        ASSERT_EQ(replay.outputs.size(), 1u);
+        ASSERT_TRUE(replay.outputs[0].tensor);
+        EXPECT_NE(replay.outputs[0].tensor, cd.outputs[0].tensor);
+        EXPECT_EQ(*replay.outputs[0].tensor,
+                  (std::vector<float>{1, 2, 3, 4}));
+        (*replay.outputs[0].tensor)[0] = 9;
+    }
+    EXPECT_EQ((*cd.outputs[0].tensor)[0], 1.0f);
+}
+
 // --------------------------------------- shared replay under threads
 
 TEST(CompiledDdgParallel, SharedIndexReplayedFromEightWorkers)
@@ -485,6 +593,47 @@ TEST(CompiledDdgParallel, SharedIndexReplayedFromEightWorkers)
     for (unsigned i = 0; i < kWorkers * kRepsPerWorker; ++i) {
         EXPECT_EQ(cycles[i], serial.cycles) << "replay " << i;
         EXPECT_EQ(stats[i], serial_stats) << "replay " << i;
+    }
+}
+
+TEST(CompiledDdgParallel, SharedIndexRunOnFromEightWorkers)
+{
+    // The whole replay path — applying the carried result, copying the
+    // outputs, scheduling, checking — from eight threads over one
+    // shared index, as µserve's workers run it.
+    constexpr unsigned kWorkers = 8;
+    for (const std::string name : {"gemm", "relu_t"}) {
+        setVerbose(false);
+        workloads::Workload w = workloads::buildWorkload(name);
+        auto accel = workloads::lowerBaseline(w);
+        ir::MemoryImage direct_mem(*w.module);
+        w.bind(direct_mem);
+        sim::SimResult direct = sim::simulate(*accel, direct_mem, {},
+                                              {.keepCompiled = true});
+        ASSERT_TRUE(direct.compiled) << name;
+        const workloads::RunOptions replay{.compiled =
+                                               direct.compiled.get()};
+
+        std::vector<workloads::RunResult> runs(kWorkers);
+        std::vector<char> same_mem(kWorkers, 0);
+        std::vector<std::thread> workers;
+        workers.reserve(kWorkers);
+        for (unsigned t = 0; t < kWorkers; ++t) {
+            workers.emplace_back([&, t] {
+                runs[t] = workloads::runOn(w, *accel, replay);
+                ir::MemoryImage mem(*w.module);
+                w.bind(mem);
+                sim::simulate(*accel, mem, {}, replay);
+                same_mem[t] = mem.bytes() == direct_mem.bytes();
+            });
+        }
+        for (auto &worker : workers)
+            worker.join();
+        for (unsigned t = 0; t < kWorkers; ++t) {
+            EXPECT_EQ(runs[t].cycles, direct.cycles) << name << " " << t;
+            EXPECT_EQ(runs[t].check, "") << name << " " << t;
+            EXPECT_TRUE(same_mem[t]) << name << " " << t;
+        }
     }
 }
 
