@@ -479,14 +479,12 @@ Server::runJob(Job &&job)
                 ? std::min(job.request.maxCycles,
                            options_.defaultMaxCycles)
                 : options_.defaultMaxCycles;
-        if (design->compiled) {
-            // Compile-once replay: the cached design carries its
-            // frozen DDG and that run's functional result, so this run
-            // skips execution, the recording and the CSR rebuild
-            // (sim/compiled_ddg.hh reuse contract).
-            ro.compiled = design->compiled.get();
-            metrics_.add("serve.compiled_ddg.reuse");
-        }
+        // Compile-once replay: every ok design carries its frozen DDG
+        // and that run's functional result, so this run skips
+        // execution, the recording and the CSR rebuild
+        // (sim/compiled_ddg.hh reuse contract).
+        ro.compiled = design->compiled.get();
+        metrics_.add("serve.compiled_ddg.reuse");
         uint64_t sim_span = t ? t->begin("simulate", run_span) : 0;
         workloads::RunResult result =
             workloads::runOn(design->workload, *design->accel, ro);
@@ -511,13 +509,13 @@ Server::runJob(Job &&job)
         metrics_.observe("serve.latency_us",
                          uint64_t((finished - job.admitSec) * 1e6));
 
-        if (result.verdict.hang.tripped()) {
+        if (result.hang.tripped()) {
             // The PR-3 watchdog is the in-flight cancellation path: a
             // run past its cycle budget stops deterministically and
             // reports why, instead of wedging a worker forever.
             metrics_.add("serve.deadline");
             metrics_.add("serve.deadline.cycle-budget");
-            std::string detail = result.verdict.hang.render();
+            std::string detail = result.hang.render();
             if (t) {
                 t->attr(run_span, "watchdog", "tripped");
                 detail += stageLine(compile_us, end_us);

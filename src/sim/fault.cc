@@ -228,12 +228,12 @@ FaultInjector::checkDivisor(int64_t divisor) const
 void
 FaultInjector::checkFirings(uint64_t firings) const
 {
-    if (maxFirings_ && firings > maxFirings_)
+    if (plan_.maxFirings && firings > plan_.maxFirings)
         throw FaultAbort{
             Outcome::Hang,
             fmt("runaway execution: %llu firings exceed the %llu budget",
                 static_cast<unsigned long long>(firings),
-                static_cast<unsigned long long>(maxFirings_))};
+                static_cast<unsigned long long>(plan_.maxFirings))};
 }
 
 void
@@ -457,17 +457,17 @@ privateNode(CompiledDdg &cd, uint32_t e)
 
 } // namespace
 
-TimingResult
+FaultRun
 scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
               RunContext &ctx)
 {
     const uint64_t target =
         plan.kind == FaultKind::DramTimeout ? plan.missEvent : plan.event;
-    muir_assert(ctx.fault && isScheduleFault(plan.kind) &&
+    muir_assert(ctx.watchdog && isScheduleFault(plan.kind) &&
                     target < golden.numEvents,
-                "scheduleFault: needs a harness and a schedule-level plan");
-    muir_assert(!ctx.log, "scheduleFault: a log would index the edited "
-                          "copy, not the caller's index");
+                "scheduleFault: needs a watchdog and a schedule-level plan");
+    muir_assert(!ctx.log, "scheduleFault: takes no log; it would index "
+                          "the edited copy, not the caller's index");
     const auto e = static_cast<uint32_t>(target);
     const auto p = static_cast<uint32_t>(plan.producer);
     CompiledDdg cd = golden;
@@ -511,22 +511,20 @@ scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
     RunContext run = ctx;
     if (plan.kind == FaultKind::StuckValid)
         run.log = &log;
-    TimingResult result = scheduleDdg(cd, run);
+    FaultRun result{scheduleDdg(cd, run), {}};
 
     // Detectors judge completed runs; a hung one is a Hang.
-    FaultVerdict &verdict = ctx.fault->verdict;
-    if (verdict.hang.tripped())
+    if (ctx.watchdog->hang.tripped())
         return result;
     if (plan.kind == FaultKind::StuckValid) {
         if (log.start[e] < log.finish[p])
-            verdict.detector = "handshake-causality";
+            result.detector = "handshake-causality";
     } else if (plan.kind == FaultKind::TokenDup) {
-        verdict.detector = "token-conservation";
+        result.detector = "token-conservation";
     } else if (plan.kind == FaultKind::DramTimeout &&
                plan.attempts > kMaxDramRetries) {
-        verdict.detector = "dram-timeout";
+        result.detector = "dram-timeout";
     }
-    verdict.detected = !verdict.detector.empty();
     return result;
 }
 
@@ -741,15 +739,23 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
                             : static_cast<unsigned>(1 + rng.below(6));
         return true;
       case FaultKind::LostSpawn: {
-        if (spec.site != FaultSpec::kAutoSite)
-            return pickEvent(sites.spawnEvents, "spawn-entry") &&
-                   pickEdge();
-        if (sites.spawnEvents.empty()) {
+        size_t i;
+        if (spec.site != FaultSpec::kAutoSite) {
+            if (!pickEvent(sites.spawnEvents, "spawn-entry"))
+                return false;
+            if (spec.edge != FaultSpec::kAuto)
+                return pickEdge();
+            i = std::lower_bound(sites.spawnEvents.begin(),
+                                 sites.spawnEvents.end(), plan.event) -
+                sites.spawnEvents.begin();
+        } else if (sites.spawnEvents.empty()) {
             error = "design has no spawn edges (no child tasks)";
             return false;
+        } else {
+            i = rng.below(sites.spawnEvents.size());
+            plan.event = sites.spawnEvents[i];
         }
-        size_t i = rng.below(sites.spawnEvents.size());
-        plan.event = sites.spawnEvents[i];
+        // The dispatch edge, not a loop hand-off the entry also waits on.
         plan.edge = sites.spawnEdges[i];
         plan.producer = cd.input(plan.event, plan.edge);
         return true;
@@ -901,9 +907,9 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
                                  .watchdog = true,
                                  .maxCycles = spec.maxCycles,
                                  .keepCompiled = true});
-    if (golden.verdict.hang.tripped()) {
+    if (golden.hang.tripped()) {
         out.error = "golden (fault-free) run tripped the watchdog:\n" +
-                    golden.verdict.hang.render();
+                    golden.hang.render();
         return out;
     }
     const std::vector<RuntimeValue> &golden_outs = golden.outputs;
@@ -939,17 +945,39 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
             resolved = i;
             break;
         }
+        plan.maxFirings = max_firings;
         plans.push_back(plan);
     }
 
     // Fan the injected runs across the pool. Everything shared here —
     // accel, module, golden outputs/memory/index, the plans — is
-    // read-only; each run owns its MemoryImage, its executor (value
-    // faults only) and its record slot, which is the whole
-    // re-entrancy contract of sim/run_context.hh.
+    // read-only; each run owns its watchdog, its MemoryImage and
+    // executor (value faults only) and its record slot, which is the
+    // whole re-entrancy contract of sim/run_context.hh.
     std::vector<InjectionRecord> records(resolved);
     parallelFor(resolved, spec.jobs, [&](size_t i) {
         const FaultPlan &plan = plans[i];
+        InjectionRecord &rec = records[i];
+        rec.plan = plan;
+        if (isScheduleFault(plan.kind)) {
+            // The golden index carries the run's functional result and
+            // the edit only moves token arrivals: schedule, and judge
+            // by the watchdog and the kind's detector alone.
+            Watchdog watchdog{out.maxCycles, {}};
+            RunContext ctx;
+            ctx.watchdog = &watchdog;
+            FaultRun run = scheduleFault(golden_ddg, plan, ctx);
+            rec.cycles = run.timing.cycles;
+            if (watchdog.hang.tripped()) {
+                rec.outcome = Outcome::Hang;
+                rec.detail = watchdog.hang.render();
+            } else if (!run.detector.empty()) {
+                rec.outcome = Outcome::Detected;
+                rec.detail = std::move(run.detector);
+            }
+            return;
+        }
+
         ir::MemoryImage mem(module);
         if (bind)
             bind(mem);
@@ -958,28 +986,16 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
             mem.storeInt(plan.addr, 4,
                          word ^ (int64_t(1) << plan.bit));
         }
-
-        SimOptions sopts;
-        sopts.fault = &plan;
-        if (isScheduleFault(plan.kind))
-            sopts.compiled = &golden_ddg; // It would execute the same.
-        sopts.watchdog = true;
-        sopts.maxCycles = out.maxCycles;
-        sopts.maxFirings = max_firings;
-        SimResult r = simulate(accel, mem, args, sopts);
-
-        InjectionRecord &rec = records[i];
-        rec.plan = plan;
+        SimResult r = simulate(
+            accel, mem, args,
+            {.fault = &plan, .watchdog = true, .maxCycles = out.maxCycles});
         rec.cycles = r.cycles;
-        if (r.aborted) {
-            rec.outcome = r.abortOutcome;
-            rec.detail = r.abortDetail;
-        } else if (r.verdict.hang.tripped()) {
+        if (r.abort) {
+            rec.outcome = r.abort->outcome;
+            rec.detail = r.abort->detail;
+        } else if (r.hang.tripped()) {
             rec.outcome = Outcome::Hang;
-            rec.detail = r.verdict.hang.render();
-        } else if (r.verdict.detected) {
-            rec.outcome = Outcome::Detected;
-            rec.detail = r.verdict.detector;
+            rec.detail = r.hang.render();
         } else {
             bool outs_ok = r.outputs.size() == golden_outs.size();
             for (size_t k = 0; outs_ok && k < golden_outs.size(); ++k)
@@ -989,9 +1005,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
             unsigned skip = plan.kind == FaultKind::MemFlip ? 4 : 0;
             bool mem_ok = sameMemory(golden_mem.bytes(), mem.bytes(),
                                      plan.addr, skip);
-            if (outs_ok && mem_ok) {
-                rec.outcome = Outcome::Masked;
-            } else {
+            if (!outs_ok || !mem_ok) {
                 rec.outcome = Outcome::SDC;
                 rec.detail = outs_ok
                                  ? "final memory differs from golden"

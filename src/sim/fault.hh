@@ -27,11 +27,14 @@
  * index) over the golden run's site catalog, so a campaign with the
  * same (workload, spec, seed) always yields the same histogram.
  *
- * Six kinds only move token arrivals: scheduleFault enacts them as
- * edits of a copy of the golden replay index, so the scheduler knows
- * only the watchdog. DataFlip and MemFlip act on the functional run.
- * With neither a fault nor the watchdog, the executor and scheduler
- * produce bit-identical cycles, stats, and outputs.
+ * Six kinds only move token arrivals: a campaign runs each of them as
+ * one scheduleFault call, an edit of a copy of the golden replay index
+ * under a watchdog, with no memory image, so such a run can only hang,
+ * be detected or be masked. DataFlip and MemFlip act on the functional
+ * run and go through simulate, which takes no other kind. The
+ * scheduler knows only the watchdog; with neither a fault nor the
+ * watchdog, the executor and scheduler produce bit-identical cycles,
+ * stats, and outputs.
  */
 #pragma once
 
@@ -146,6 +149,9 @@ struct FaultPlan
     uint64_t missEvent = kNoEvent;
     /** DramTimeout: failing attempts before the port answers. */
     unsigned attempts = 0;
+    /** DataFlip/MemFlip: functional firing budget past which the run
+     *  aborts as a Hang (0 = none). */
+    uint64_t maxFirings = 0;
 };
 
 // -------------------------------------------------------- classification
@@ -171,14 +177,6 @@ inline constexpr size_t kNumOutcomes =
 const char *outcomeName(Outcome outcome);
 
 // -------------------------------------------------------------- watchdog
-
-/** Dynamic hang-watchdog configuration for the timing scheduler. */
-struct WatchdogOptions
-{
-    bool enabled = false;
-    /** Cycle budget; 0 = unbounded (no-progress detection stays on). */
-    uint64_t maxCycles = 0;
-};
 
 /**
  * What the watchdog saw when it tripped: which tasks were blocked, on
@@ -222,26 +220,18 @@ struct HangDiagnosis
     std::string render() const;
 };
 
-/** Detector + watchdog state produced by one scheduled run. */
-struct FaultVerdict
-{
-    /** A checker fired (token conservation, causality, DRAM timeout,
-     *  bus error, trap). */
-    bool detected = false;
-    /** Which checker, e.g. "token-conservation". */
-    std::string detector;
-    HangDiagnosis hang;
-};
-
 /**
- * Bundle threaded through scheduleDdg when μfit is active: watchdog
- * config in, verdict out. Passing no harness at all keeps the
- * scheduler bit-identical.
+ * The dynamic hang watchdog threaded through scheduleDdg: cycle budget
+ * in, diagnosis out. Armed, a run that drains its ready queue with
+ * events unscheduled reports a deadlock instead of asserting; a
+ * nonzero budget also stops the run at the first event ready past it.
+ * Neither changes a run that completes within the budget.
  */
-struct FaultHarness
+struct Watchdog
 {
-    WatchdogOptions watchdog;
-    FaultVerdict verdict;
+    /** Cycle budget; 0 = drain detection only. */
+    uint64_t maxCycles = 0;
+    HangDiagnosis hang;
 };
 
 /**
@@ -254,16 +244,28 @@ HangDiagnosis diagnoseHang(const CompiledDdg &cd,
                            const std::vector<uint32_t> &pending,
                            uint64_t processed);
 
+/** One schedule-level fault run: its timing and the detector that
+ *  fired, if any. */
+struct FaultRun
+{
+    TimingResult timing;
+    /** Which checker fired, e.g. "token-conservation"; empty if none
+     *  did or the watchdog tripped. */
+    std::string detector;
+};
+
 /**
  * Schedule a copy of @p golden edited by a schedule-level @p plan
  * (docs/resilience.md has the edit per kind) under @p ctx, whose
- * harness must be set and whose log must not be (a log of the edited
- * copy would not read against @p golden), and set the kind's detector
- * in its verdict. @p golden is only read, so concurrent runs may
- * share it.
+ * watchdog must be set and whose log must not be (a log of the edited
+ * copy would not read against @p golden). The index carries the
+ * golden run's functional result, and these kinds only move token
+ * arrivals, so there is nothing to execute or compare: a run hangs
+ * (the watchdog's diagnosis), is detected or is masked. @p golden is
+ * only read, so concurrent runs may share it.
  */
-TimingResult scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
-                           RunContext &ctx);
+FaultRun scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
+                       RunContext &ctx);
 
 // ----------------------------------------------- functional-layer hooks
 
@@ -292,10 +294,7 @@ void flipBit(ir::RuntimeValue &value, unsigned bit);
 class FaultInjector
 {
   public:
-    FaultInjector(const FaultPlan &plan, uint64_t max_firings)
-        : plan_(plan), maxFirings_(max_firings)
-    {
-    }
+    explicit FaultInjector(const FaultPlan &plan) : plan_(plan) {}
 
     /** DataFlip: corrupt slot 0 of the event's produced value. */
     void
@@ -326,7 +325,6 @@ class FaultInjector
 
   private:
     FaultPlan plan_;
-    uint64_t maxFirings_ = 0;
     bool fired_ = false;
 };
 
@@ -389,10 +387,12 @@ struct CampaignResult
 /**
  * Run a fault campaign: one fault-free golden run (watchdog armed —
  * a lint-clean graph must never hang fault-free), then spec.runs
- * seeded injections, each classified against the golden outputs and
- * final memory. @p bind writes the workload inputs into a fresh
- * memory image before every run; it runs concurrently from up to
- * spec.jobs threads and must therefore be re-entrant (the standard
+ * seeded injections. A schedule-level run is one scheduleFault call
+ * on the golden index; a value fault runs through simulate and is
+ * classified against the golden outputs and final memory. @p bind
+ * writes the workload inputs into a fresh memory image before the
+ * golden run and every value-fault run; it runs concurrently from up
+ * to spec.jobs threads and must therefore be re-entrant (the standard
  * workload binders only read shared input data, which qualifies).
  *
  * The injected runs fan out across a worker pool (support/parallel.hh)

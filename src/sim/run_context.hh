@@ -2,7 +2,7 @@
  * @file
  * The per-run bundle threaded through the timing replay — the single
  * carrier for everything one simulation run writes beyond its result:
- * the schedule log and the μfit harness.
+ * the schedule log and the hang watchdog.
  *
  * ## Concurrency contract
  *
@@ -16,7 +16,7 @@
  * one design across N concurrent runs needs no locking.
  *
  * What is NOT shared-safe, by design:
- *  - a RunContext (and the ScheduleLog and FaultHarness it points to)
+ *  - a RunContext (and the ScheduleLog and Watchdog it points to)
  *    belongs to exactly one run; both are written without
  *    synchronization;
  *  - anything a run mutates (MemoryImage, StatSet, TimingResult) is
@@ -31,15 +31,16 @@ namespace muir::sim
 {
 
 struct ScheduleLog;  // sim/timing.hh
-struct FaultHarness; // sim/fault.hh
+struct Watchdog;     // sim/fault.hh
 
 /**
  * Everything one timing replay writes beyond the shared, immutable
  * CompiledDdg: the schedule log, which every observer reads after the
- * run, plus the μfit harness, which carries the watchdog budget in and
- * the verdict out and changes a run only by stopping it once the
- * budget trips (faults edit a copy of the index instead; see
- * scheduleFault). A default-constructed RunContext is a plain run.
+ * run, plus the hang watchdog, which carries the cycle budget in and
+ * the diagnosis out and changes a run only by stopping it once the
+ * budget trips. Faults never reach the scheduler: scheduleFault edits
+ * a copy of the index instead. A default-constructed RunContext is a
+ * plain run.
  *
  * One RunContext per concurrent run; contexts are cheap to construct
  * and hold no state of their own.
@@ -49,9 +50,9 @@ struct RunContext
     /** Filled with the run's schedule (sim/timing.hh); null = off.
      *  Writing it never changes cycles, stats or memory. */
     ScheduleLog *log = nullptr;
-    /** μfit harness (sim/fault.hh): watchdog in, verdict out. Null
+    /** Hang watchdog (sim/fault.hh): budget in, diagnosis out. Null
      *  keeps the schedule bit-identical. */
-    FaultHarness *fault = nullptr;
+    Watchdog *watchdog = nullptr;
 };
 
 } // namespace muir::sim

@@ -30,30 +30,21 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
          const std::vector<ir::RuntimeValue> &args,
          const SimOptions &options)
 {
-    // A precompiled index replaces the recording; a value fault changes
-    // the recording, so only a schedule-level fault may reuse one.
-    const bool schedule_fault =
-        options.fault && isScheduleFault(options.fault->kind);
-    muir_assert(!options.compiled || !options.fault || schedule_fault,
+    // Only a value fault changes the execution; every other kind moves
+    // token arrivals and runs as an edit of a compiled index instead.
+    muir_assert(!options.fault || options.fault->kind == FaultKind::DataFlip ||
+                    options.fault->kind == FaultKind::MemFlip,
+                "simulate: takes value faults only (dataflip, memflip)");
+    muir_assert(!options.compiled || !options.fault,
                 "simulate: a value fault cannot reuse a compiled DDG");
-    // A schedule-level fault replays an edited copy of the index; a log
-    // of it would not read against the index the caller holds.
-    muir_assert(!schedule_fault || !options.log,
-                "simulate: a schedule-level fault takes no log");
     muir_assert(!options.compiled || options.compiled->design == &accel,
                 "simulate: compiled DDG belongs to another design");
     SimResult result;
     std::shared_ptr<const CompiledDdg> owned;
     if (options.compiled) {
         // The index carries its run's functional result: apply it
-        // instead of executing again. Nothing executes, so a firing
-        // budget below the recorded count could not trip as it would
-        // on a direct run: refuse it.
+        // instead of executing again.
         const CompiledDdg &cd = *options.compiled;
-        muir_assert(!options.maxFirings || options.maxFirings >= cd.firings,
-                    "simulate: a compiled replay's firing budget is below "
-                    "its recorded %llu firings",
-                    static_cast<unsigned long long>(cd.firings));
         applyWrites(cd, mem);
         result.outputs = unsharedCopy(cd.outputs);
         result.firings = cd.firings;
@@ -61,18 +52,15 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
         UirExecutor exec(accel, mem);
         std::unique_ptr<FaultInjector> inj;
         if (options.fault) {
-            inj = std::make_unique<FaultInjector>(*options.fault,
-                                                  options.maxFirings);
+            inj = std::make_unique<FaultInjector>(*options.fault);
             exec.setInjector(inj.get());
         }
         try {
             result.outputs = exec.run(args);
-        } catch (const FaultAbort &abort) {
+        } catch (FaultAbort &abort) {
             // Only μfit guards throw, and only with an injector
             // attached: the fault-free path cannot take this branch.
-            result.aborted = true;
-            result.abortOutcome = abort.outcome;
-            result.abortDetail = abort.detail;
+            result.abort = std::move(abort);
             result.firings = exec.firings();
             return result;
         }
@@ -89,19 +77,12 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     std::shared_ptr<ScheduleLog> log;
     if (options.log)
         log = std::make_shared<ScheduleLog>();
-    FaultHarness harness;
-    bool use_harness = options.fault || options.watchdog;
-    if (use_harness) {
-        harness.watchdog.enabled = options.watchdog;
-        harness.watchdog.maxCycles = options.maxCycles;
-    }
+    Watchdog watchdog{options.maxCycles, {}};
     RunContext ctx;
     ctx.log = log.get();
-    ctx.fault = use_harness ? &harness : nullptr;
-    TimingResult timing = schedule_fault
-                              ? scheduleFault(cd, *options.fault, ctx)
-                              : scheduleDdg(cd, ctx);
-    result.verdict = std::move(harness.verdict);
+    ctx.watchdog = options.watchdog ? &watchdog : nullptr;
+    TimingResult timing = scheduleDdg(cd, ctx);
+    result.hang = std::move(watchdog.hang);
     result.cycles = timing.cycles;
     result.stats = std::move(timing.stats);
     result.log = std::move(log);

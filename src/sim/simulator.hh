@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "sim/compiled_ddg.hh"
 #include "sim/exec.hh"
@@ -26,16 +27,14 @@ struct SimOptions
      * and traceCsv, each read against the index the run replayed.
      */
     bool log = false;
-    /** μfit fault plan to inject (nullptr = bit-identical baseline);
-     *  a schedule-level kind goes through scheduleFault and does not
-     *  combine with `log`. */
+    /** μfit value fault to inject, DataFlip or MemFlip (nullptr =
+     *  bit-identical baseline); a schedule-level kind is refused, it
+     *  runs as a scheduleFault call on a compiled index. */
     const FaultPlan *fault = nullptr;
     /** Arm the dynamic hang watchdog (cycle budget + drain detection). */
     bool watchdog = false;
     /** Watchdog cycle budget (0 = drain detection only). */
     uint64_t maxCycles = 0;
-    /** Functional firing budget for runaway detection (0 = none). */
-    uint64_t maxFirings = 0;
     /**
      * Replay this precompiled index instead of executing and recording
      * (sim/compiled_ddg.hh). Execution is deterministic, so the same
@@ -45,10 +44,8 @@ struct SimOptions
      * and copies into the result before it schedules. No executor
      * runs. Must have been compiled from this accelerator and recorded
      * over the same inputs; the index alone serves the replay, the
-     * log's post-passes and hang diagnosis. Combines with a
-     * schedule-level `fault` (it edits a copy), not with a value fault
-     * (it changes the execution). `maxFirings`, if set, must cover the
-     * recorded firings.
+     * log's post-passes and hang diagnosis. Does not combine with
+     * `fault`, which changes the execution.
      */
     const CompiledDdg *compiled = nullptr;
     /** Compile the recorded DDG and return it in SimResult::compiled
@@ -72,15 +69,11 @@ struct SimResult
      *  `compiled`, or against SimOptions::compiled when that was
      *  passed. */
     std::shared_ptr<const ScheduleLog> log;
-    /** μfit verdict (watchdog diagnosis, detector hits). */
-    FaultVerdict verdict;
-    /** Functional execution aborted via a μfit guard (FaultAbort);
-     *  never set by a compiled replay, which executes nothing. */
-    bool aborted = false;
-    /** Pre-classified outcome of the abort (Detected or Hang). */
-    Outcome abortOutcome = Outcome::Detected;
-    /** Human-readable abort reason. */
-    std::string abortDetail;
+    /** What the watchdog saw (SimOptions::watchdog). */
+    HangDiagnosis hang;
+    /** Set when a μfit guard aborted the functional execution of a
+     *  `fault` run; nothing was scheduled then. */
+    std::optional<FaultAbort> abort;
     /** The replay index (set when SimOptions::keepCompiled or ::log,
      *  unless SimOptions::compiled was passed): pass as
      *  SimOptions::compiled to later runs of the same design+inputs.

@@ -194,7 +194,10 @@ TimingResult
 scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
 {
     ScheduleLog *log = ctx.log;
-    FaultHarness *fault = ctx.fault;
+    Watchdog *watchdog = ctx.watchdog;
+    const uint64_t budget = watchdog && watchdog->maxCycles
+                                ? watchdog->maxCycles
+                                : ~uint64_t(0);
     TimingResult result;
     const uint32_t n = cd.numEvents;
     if (log) {
@@ -260,9 +263,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
     while (!queue.empty()) {
         uint32_t id = queue.pop();
         uint64_t ready = readyAt[id];
-        if (fault && fault->watchdog.enabled &&
-            fault->watchdog.maxCycles &&
-            ready > fault->watchdog.maxCycles) {
+        if (ready > budget) {
             budget_tripped = true;
             break;
         }
@@ -394,18 +395,18 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         log->finish = std::move(finish);
     }
 
-    if (fault) {
+    if (watchdog) {
         // Dynamic watchdog: the queue draining with events still
         // unscheduled is token starvation — the dynamic analogue of the
         // deadlocks μlint's D-checks rule out statically.
         if (budget_tripped) {
-            HangDiagnosis &diag = fault->verdict.hang;
+            HangDiagnosis &diag = watchdog->hang;
             diag.budgetExceeded = true;
             diag.scheduled = processed;
             diag.total = n;
-            diag.budget = fault->watchdog.maxCycles;
+            diag.budget = budget;
         } else if (processed < n) {
-            fault->verdict.hang = diagnoseHang(cd, pending, processed);
+            watchdog->hang = diagnoseHang(cd, pending, processed);
         }
     } else {
         muir_assert(processed == n,

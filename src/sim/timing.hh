@@ -74,7 +74,7 @@ struct ScheduleLog
  * Re-entrant and thread-safe under the RunContext contract
  * (sim/run_context.hh): @p compiled is read-only here and may be
  * shared across any number of concurrent calls, the same contract as
- * the shared Accelerator; @p ctx (and the log and harness it points
+ * the shared Accelerator; @p ctx (and the log and watchdog it points
  * to) must be private to this call. All local scheduling state —
  * resource free-lists, cache tags, ready queue — lives on this call's
  * stack.
@@ -83,7 +83,7 @@ struct ScheduleLog
  */
 TimingResult scheduleDdg(const CompiledDdg &compiled, RunContext &ctx);
 
-/** Plain compiled replay: no log, no fault harness. */
+/** Plain compiled replay: no log, no watchdog. */
 inline TimingResult
 scheduleDdg(const CompiledDdg &compiled)
 {

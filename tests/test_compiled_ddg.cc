@@ -413,8 +413,8 @@ TEST(CompiledDdg, StandsAloneAfterItsRecordIsDestroyed)
 
         // Every schedule-level fault replays an edited copy of the
         // orphaned index, with the plan a campaign resolves for it:
-        // cycles, stats, detector and hang diagnosis must match a run
-        // that records and compiles its own DDG.
+        // cycles, stats, detector and hang diagnosis must match the
+        // same edit of the index the direct run compiled.
         for (const std::string kind : kScheduleFaults) {
             sim::CampaignSpec spec;
             ASSERT_TRUE(sim::parseFaultSpec(kind, spec.fault, nullptr));
@@ -426,31 +426,27 @@ TEST(CompiledDdg, StandsAloneAfterItsRecordIsDestroyed)
             if (!probe.ok)
                 continue; // The design has no site of this kind.
             ++covered[kind];
-            sim::SimOptions inject;
-            inject.fault = &probe.records[0].plan;
-            inject.watchdog = true;
-            inject.maxCycles = probe.maxCycles;
-            ir::MemoryImage fresh_mem(*w.module);
-            w.bind(fresh_mem);
-            sim::SimResult fresh =
-                sim::simulate(*accel, fresh_mem, {}, inject);
-            inject.compiled = cd.get();
-            ir::MemoryImage reuse_mem(*w.module);
-            w.bind(reuse_mem);
-            sim::SimResult reuse =
-                sim::simulate(*accel, reuse_mem, {}, inject);
+            const sim::FaultPlan &plan = probe.records[0].plan;
+            sim::Watchdog fresh_wd{probe.maxCycles, {}};
+            sim::RunContext fresh_ctx;
+            fresh_ctx.watchdog = &fresh_wd;
+            sim::FaultRun fresh =
+                sim::scheduleFault(*direct.compiled, plan, fresh_ctx);
+            sim::Watchdog reuse_wd{probe.maxCycles, {}};
+            sim::RunContext reuse_ctx;
+            reuse_ctx.watchdog = &reuse_wd;
+            sim::FaultRun reuse = sim::scheduleFault(*cd, plan, reuse_ctx);
             if (kind == "tokendrop") {
-                EXPECT_TRUE(reuse.verdict.hang.tripped()) << name;
+                EXPECT_TRUE(reuse_wd.hang.tripped()) << name;
             }
-            EXPECT_EQ(fresh.cycles, reuse.cycles) << name << " " << kind;
-            EXPECT_EQ(fresh.stats.toJson(), reuse.stats.toJson())
+            EXPECT_EQ(fresh.timing.cycles, reuse.timing.cycles)
                 << name << " " << kind;
-            EXPECT_EQ(fresh.verdict.detected, reuse.verdict.detected)
+            EXPECT_EQ(fresh.timing.stats.toJson(),
+                      reuse.timing.stats.toJson())
                 << name << " " << kind;
-            EXPECT_EQ(fresh.verdict.detector, reuse.verdict.detector)
+            EXPECT_EQ(fresh.detector, reuse.detector)
                 << name << " " << kind;
-            EXPECT_EQ(fresh.verdict.hang.render(),
-                      reuse.verdict.hang.render())
+            EXPECT_EQ(fresh_wd.hang.render(), reuse_wd.hang.render())
                 << name << " " << kind;
         }
         // The edits went to copies: the index still replays cleanly.

@@ -11,6 +11,7 @@
 #include "sim/fault.hh"
 #include "sim/simulator.hh"
 #include "support/json.hh"
+#include "uir/accelerator.hh"
 #include "workloads/driver.hh"
 
 namespace muir::sim
@@ -39,6 +40,15 @@ uint64_t
 countOf(const CampaignResult &r, Outcome o)
 {
     return r.histogram[static_cast<size_t>(o)];
+}
+
+/** The compiled index of @p w's fault-free run on @p accel. */
+std::shared_ptr<const CompiledDdg>
+goldenIndex(const workloads::Workload &w, const uir::Accelerator &accel)
+{
+    ir::MemoryImage mem(*w.module);
+    w.bind(mem);
+    return simulate(accel, mem, {}, {.keepCompiled = true}).compiled;
 }
 
 } // namespace
@@ -140,9 +150,9 @@ TEST(FlipBit, TensorCopiesBeforeCorrupting)
 // ------------------------------------------------ bit-identity contract
 
 /**
- * The μprof-style guard: arming the watchdog (harness present, no
- * plan) must not change cycles, stats, firings, outputs, or final
- * memory on any baseline workload — and must never trip fault-free.
+ * The μprof-style guard: arming the watchdog without a fault must
+ * not change cycles, stats, firings, outputs, or final memory on any
+ * baseline workload — and must never trip fault-free.
  */
 TEST(FaultGuard, WatchdogArmedIsBitIdenticalOnAllBaselines)
 {
@@ -164,9 +174,8 @@ TEST(FaultGuard, WatchdogArmedIsBitIdenticalOnAllBaselines)
         EXPECT_EQ(plain.firings, armed.firings) << name;
         EXPECT_EQ(plain.stats.dump(), armed.stats.dump()) << name;
         EXPECT_EQ(plain_mem.bytes(), armed_mem.bytes()) << name;
-        EXPECT_FALSE(armed.verdict.hang.tripped())
-            << name << ": " << armed.verdict.hang.render();
-        EXPECT_FALSE(armed.verdict.detected) << name;
+        EXPECT_FALSE(armed.hang.tripped())
+            << name << ": " << armed.hang.render();
     }
 }
 
@@ -189,14 +198,13 @@ TEST(Watchdog, TripsOnPinnedTokenLossWithNamedDiagnosis)
     EXPECT_EQ(r.records[0].outcome, Outcome::Hang);
 
     // Replay the same plan directly and inspect the diagnosis.
-    ir::MemoryImage mem(*w.module);
-    w.bind(mem);
-    SimOptions opts;
-    opts.fault = &r.records[0].plan;
-    opts.watchdog = true;
-    opts.maxCycles = r.maxCycles;
-    SimResult sim = simulate(*accel, mem, {}, opts);
-    const HangDiagnosis &diag = sim.verdict.hang;
+    Watchdog watchdog{r.maxCycles, {}};
+    RunContext ctx;
+    ctx.watchdog = &watchdog;
+    FaultRun run =
+        scheduleFault(*goldenIndex(w, *accel), r.records[0].plan, ctx);
+    EXPECT_TRUE(run.detector.empty()) << run.detector;
+    const HangDiagnosis &diag = watchdog.hang;
     ASSERT_TRUE(diag.tripped());
     EXPECT_TRUE(diag.hung);
     ASSERT_FALSE(diag.blocked.empty());
@@ -223,9 +231,9 @@ TEST(Watchdog, CycleBudgetTripsAsBudgetExceeded)
     opts.watchdog = true;
     opts.maxCycles = 1; // far below any real schedule
     SimResult sim = simulate(*accel, mem, {}, opts);
-    EXPECT_TRUE(sim.verdict.hang.budgetExceeded);
-    EXPECT_TRUE(sim.verdict.hang.tripped());
-    EXPECT_NE(sim.verdict.hang.render().find("budget"),
+    EXPECT_TRUE(sim.hang.budgetExceeded);
+    EXPECT_TRUE(sim.hang.tripped());
+    EXPECT_NE(sim.hang.render().find("budget"),
               std::string::npos);
 }
 
@@ -237,12 +245,30 @@ TEST(WatchdogDeath, ScheduleLevelFaultTakesNoObservers)
     ASSERT_TRUE(r.ok) << r.error;
     workloads::Workload w = workloads::buildWorkload("saxpy");
     auto accel = workloads::lowerBaseline(w);
+    auto golden = goldenIndex(w, *accel);
+    ScheduleLog log;
+    Watchdog watchdog;
+    RunContext ctx;
+    ctx.log = &log;
+    ctx.watchdog = &watchdog;
+    EXPECT_DEATH(scheduleFault(*golden, r.records[0].plan, ctx),
+                 "takes no log");
+}
+
+TEST(WatchdogDeath, SimulateRefusesScheduleLevelPlan)
+{
+    // A schedule-level fault only moves token arrivals; it runs as a
+    // scheduleFault call on a compiled index, never through simulate.
+    CampaignResult r = campaignOn("saxpy", "tokendrop", 1, 7);
+    ASSERT_TRUE(r.ok) << r.error;
+    workloads::Workload w = workloads::buildWorkload("saxpy");
+    auto accel = workloads::lowerBaseline(w);
     ir::MemoryImage mem(*w.module);
     w.bind(mem);
     SimOptions opts;
     opts.fault = &r.records[0].plan;
-    opts.log = true;
-    EXPECT_DEATH(simulate(*accel, mem, {}, opts), "takes no log");
+    opts.watchdog = true;
+    EXPECT_DEATH(simulate(*accel, mem, {}, opts), "value faults only");
 }
 
 TEST(Watchdog, GenerousBudgetDoesNotTrip)
@@ -254,7 +280,7 @@ TEST(Watchdog, GenerousBudgetDoesNotTrip)
     opts.maxCycles = 1ull << 40;
     workloads::RunResult run = workloads::runOn(w, *accel, opts);
     EXPECT_TRUE(run.check.empty()) << run.check;
-    EXPECT_FALSE(run.verdict.hang.tripped());
+    EXPECT_FALSE(run.hang.tripped());
 }
 
 // ----------------------------------------------------- outcome semantics
@@ -470,16 +496,42 @@ TEST(Campaign, PinnedSiteOutsideItsKindsPoolIsRejected)
     EXPECT_NE(far.error.find("out of range"), std::string::npos)
         << far.error;
 
-    // A pinned lostspawn draws from the spawned entry events.
-    CampaignResult probe = campaignOn("fib", "lostspawn", 1, 1);
-    ASSERT_TRUE(probe.ok) << probe.error;
-    uint64_t entry = probe.records[0].plan.event;
-    CampaignResult pinned =
-        campaignOn("fib", "lostspawn@" + std::to_string(entry), 3, 4);
-    ASSERT_TRUE(pinned.ok) << pinned.error;
-    for (const InjectionRecord &rec : pinned.records) {
-        EXPECT_EQ(rec.plan.event, entry);
-        EXPECT_EQ(rec.outcome, Outcome::Hang);
+    // A pinned lostspawn draws from the spawned entry events and drops
+    // the entry's dispatch. msort's entries may also wait on a loop
+    // hand-off, so pin the entry with the most inputs.
+    for (const char *name : {"fib", "msort"}) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        auto accel = workloads::lowerBaseline(w);
+        auto golden = goldenIndex(w, *accel);
+        const CompiledDdg &cd = *golden;
+        auto dispatch = [&](uint32_t p) {
+            return !(cd.flags[p] & kEvCompletion) &&
+                   cd.nodes[cd.nodeOf[p]]->kind() ==
+                       uir::NodeKind::ChildCall;
+        };
+        uint32_t entry = kNoId32;
+        for (uint32_t e = 0; e < cd.numEvents; ++e) {
+            if ((cd.flags[e] & (kEvEntry | kEvCompletion)) != kEvEntry ||
+                (entry != kNoId32 &&
+                 cd.numInputs(e) <= cd.numInputs(entry)))
+                continue;
+            for (uint32_t k = 0; k < cd.numInputs(e); ++k)
+                if (dispatch(cd.input(e, k)))
+                    entry = e;
+        }
+        ASSERT_NE(entry, kNoId32) << name;
+        if (std::string(name) == "msort") {
+            EXPECT_GT(cd.numInputs(entry), 1u);
+        }
+        CampaignResult pinned =
+            campaignOn(name, "lostspawn@" + std::to_string(entry), 8, 7);
+        ASSERT_TRUE(pinned.ok) << name << ": " << pinned.error;
+        for (const InjectionRecord &rec : pinned.records) {
+            EXPECT_EQ(rec.plan.event, entry) << name;
+            EXPECT_TRUE(dispatch(static_cast<uint32_t>(rec.plan.producer)))
+                << name << ": edge " << rec.plan.edge;
+            EXPECT_EQ(rec.outcome, Outcome::Hang) << name;
+        }
     }
 }
 

@@ -292,13 +292,14 @@ TEST(OutputPins, PinnedTokenLossHangDiagnosis)
 
     ir::MemoryImage mem(*w.module);
     w.bind(mem);
-    sim::SimOptions opts;
-    opts.fault = &r.records[0].plan;
-    opts.watchdog = true;
-    opts.maxCycles = r.maxCycles;
-    sim::SimResult sim = sim::simulate(*accel, mem, {}, opts);
-    ASSERT_TRUE(sim.verdict.hang.tripped());
-    expectPinned("saxpy.tokendrop.diagnosis", sim.verdict.hang.render());
+    sim::SimResult golden =
+        sim::simulate(*accel, mem, {}, {.keepCompiled = true});
+    sim::Watchdog watchdog{r.maxCycles, {}};
+    sim::RunContext ctx;
+    ctx.watchdog = &watchdog;
+    sim::scheduleFault(*golden.compiled, r.records[0].plan, ctx);
+    ASSERT_TRUE(watchdog.hang.tripped());
+    expectPinned("saxpy.tokendrop.diagnosis", watchdog.hang.render());
 }
 
 TEST(OutputPins, ConflictsOnRaceFixtures)

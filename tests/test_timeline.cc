@@ -181,7 +181,7 @@ TEST(Timeline, TrippedRunsLeaveUnprocessedEventsOut)
         SCOPED_TRACE(name);
         const uint64_t half = Logged(name, {}).run.cycles / 2;
         Logged l(name, {.log = true, .watchdog = true, .maxCycles = half});
-        ASSERT_TRUE(l.run.verdict.hang.budgetExceeded);
+        ASSERT_TRUE(l.run.hang.budgetExceeded);
         const ProfileResult p = l.profile();
         for (const auto &[bucket, count] : p.slackHistogram)
             EXPECT_LE(bucket, 63u) << count << " edges";

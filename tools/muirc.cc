@@ -548,12 +548,11 @@ main(int argc, char **argv)
         tl = sim::buildTimeline(*run.compiled, *run.log, run.cycles,
                                 timeline_windows);
     notePhase("phase.simulate");
-    if (watchdog && run.verdict.hang.tripped()) {
+    if (run.hang.tripped()) {
         // Distinct exit code: a budget/deadlock trip is neither a
         // functional failure (1) nor a usage error (2) — callers
         // (µserve, CI scripts) key retry/deadline policy off it.
-        std::fprintf(stderr, "muirc: %s",
-                     run.verdict.hang.render().c_str());
+        std::fprintf(stderr, "muirc: %s", run.hang.render().c_str());
         return 3;
     }
     if (!run.check.empty()) {
