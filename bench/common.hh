@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cost/cost_model.hh"
+#include "sim/compiled_ddg.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -165,11 +166,17 @@ class WallClockGuard
     std::thread watcher_;
 };
 
-/** Build + lower + transform + simulate + synthesize one design. */
+/**
+ * Build + lower + transform + simulate + synthesize one design. With
+ * @p base, a design of the same workload that differs from this one
+ * only in timing (sim::retarget refuses anything else), the run
+ * retargets @p base's record instead of executing and recording again.
+ */
 inline Design
 makeDesign(const std::string &workload_name,
            const std::function<void(uopt::PassManager &)> &configure =
-               {})
+               {},
+           const Design *base = nullptr)
 {
     // Each design gets its own wall-clock budget, and an overrun is
     // reported with the workload's name.
@@ -182,7 +189,17 @@ makeDesign(const std::string &workload_name,
         configure(pm);
         pm.run(*d.accel);
     }
-    d.run = workloads::runOn(d.workload, *d.accel);
+    workloads::RunOptions options;
+    options.keepCompiled = true;
+    std::shared_ptr<const sim::CompiledDdg> index;
+    if (base) {
+        index = std::make_shared<const sim::CompiledDdg>(
+            sim::retarget(*base->run.compiled, *d.accel));
+        options.compiled = index.get();
+    }
+    d.run = workloads::runOn(d.workload, *d.accel, options);
+    if (index)
+        d.run.compiled = std::move(index);
     if (!d.run.check.empty())
         muir_fatal("%s: functional check failed: %s",
                    workload_name.c_str(), d.run.check.c_str());

@@ -63,7 +63,7 @@ struct RawSpan
 
 std::shared_ptr<const CompiledDesign>
 DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
-                     uint64_t parent) const
+                     uint64_t parent)
 {
     auto design = std::make_shared<CompiledDesign>();
     auto fail = [&](const std::string &code, unsigned line,
@@ -119,6 +119,22 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
         pm.run(*design->accel);
     }
 
+    // Racing misses of one dataflow serialize on its record entry until
+    // the first has recorded; the rest retarget what it recorded.
+    std::shared_ptr<Entry> record = recordEntry(
+        req.workload + '\0' + uir::dataflowKey(*design->accel));
+    std::unique_lock<std::mutex> record_lock(record->compileMutex);
+    if (std::shared_ptr<const CompiledDesign> base = record->design) {
+        record_lock.unlock();
+        RawSpan span(t, "compile.retarget", parent);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++recordHits_;
+        }
+        design->compiled = std::make_shared<const sim::CompiledDdg>(
+            sim::retarget(*base->compiled, *design->accel));
+        return design;
+    }
     {
         // One reference execution freezes the replay index the cached
         // design hands every replay (sim/compiled_ddg.hh): execution
@@ -134,7 +150,24 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
         design->compiled = std::make_shared<const sim::CompiledDdg>(
             sim::compileDdg(*design->accel, exec.takeDdg()));
     }
+    record->design = design;
     return design;
+}
+
+std::shared_ptr<DesignCache::Entry>
+DesignCache::recordEntry(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [it, fresh] = records_.try_emplace(key);
+    if (!fresh)
+        return it->second;
+    std::shared_ptr<Entry> entry = it->second = std::make_shared<Entry>();
+    recordFifo_.push_back(key);
+    while (records_.size() > maxEntries_) {
+        records_.erase(recordFifo_.front());
+        recordFifo_.pop_front();
+    }
+    return entry;
 }
 
 std::shared_ptr<const CompiledDesign>
@@ -188,6 +221,13 @@ DesignCache::misses() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return misses_;
+}
+
+uint64_t
+DesignCache::recordHits() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return recordHits_;
 }
 
 size_t

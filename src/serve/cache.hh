@@ -11,6 +11,12 @@
  * its pipeline produces a CompiledDesign carrying the structured error,
  * so a client hammering the daemon with the same broken design pays
  * the compile cost once, not per request.
+ *
+ * A second tier records once per dataflow: it keeps the first design
+ * compiled for each (workload, uir::dataflowKey) pair, and a miss whose
+ * pair is there retargets that design's record (sim::retarget) instead
+ * of executing and recording again. Designs that differ only in
+ * timing (queue depths, tiles, banks, ports) share one recording.
  */
 #pragma once
 
@@ -84,15 +90,19 @@ class DesignCache
      * When @p t is non-null, the "compile" span @p parent gets a
      * cache=hit|miss attribute, and an actual compilation records
      * compile.lower / compile.parse / compile.lint /
-     * compile.optimize child spans under it. Tracing adds no
-     * locking and no work when @p t is null.
+     * compile.optimize child spans under it, then compile.record or
+     * (a record-tier hit) compile.retarget. Tracing adds no locking
+     * and no work when @p t is null.
      */
     std::shared_ptr<const CompiledDesign>
     lookup(const RunRequest &req, trace::ActiveTrace *t = nullptr,
            uint64_t parent = 0);
 
     uint64_t hits() const;
+    /** Every design miss, whether it recorded or retargeted. */
     uint64_t misses() const;
+    /** Design misses that retargeted a cached record. */
+    uint64_t recordHits() const;
     size_t size() const;
 
   private:
@@ -104,14 +114,23 @@ class DesignCache
 
     std::shared_ptr<const CompiledDesign>
     compile(const RunRequest &req, trace::ActiveTrace *t,
-            uint64_t parent) const;
+            uint64_t parent);
+
+    /** The record-tier entry of @p key, created (evicting the oldest
+     *  beyond capacity) when absent. */
+    std::shared_ptr<Entry> recordEntry(const std::string &key);
 
     const size_t maxEntries_;
-    mutable std::mutex mutex_; ///< guards the map/FIFO/counters
+    mutable std::mutex mutex_; ///< guards the maps/FIFOs/counters
     std::map<uint64_t, std::shared_ptr<Entry>> entries_;
     std::list<uint64_t> fifo_; ///< insertion order, for eviction
+    /** Record tier: the first design of each (workload, dataflow key),
+     *  keyed by the full text so no collision can share a record. */
+    std::map<std::string, std::shared_ptr<Entry>> records_;
+    std::list<std::string> recordFifo_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
+    uint64_t recordHits_ = 0;
 };
 
 } // namespace muir::serve

@@ -694,6 +694,8 @@ Server::statsJson() const
                (unsigned long long)cache_.hits());
     out += fmt("\"cache_misses\":%llu,",
                (unsigned long long)cache_.misses());
+    out += fmt("\"record_hits\":%llu,",
+               (unsigned long long)cache_.recordHits());
     out += fmt("\"compiled_ddg_reuse\":%llu,",
                (unsigned long long)snap.counter(
                    "serve.compiled_ddg.reuse"));

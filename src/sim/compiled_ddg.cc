@@ -7,6 +7,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "uir/delay_model.hh"
+#include "uir/serialize.hh"
 
 namespace muir::sim
 {
@@ -245,6 +246,32 @@ compileDdg(const uir::Accelerator &accel, Ddg ddg)
         std::chrono::steady_clock::now() - t0;
     meter->timerAdd("sim.compile_ddg", wall.count());
     return cd;
+}
+
+CompiledDdg
+retarget(const CompiledDdg &from, const uir::Accelerator &to)
+{
+    muir_assert(from.design, "retarget: the index names no design");
+    muir_assert(uir::dataflowKey(*from.design) == uir::dataflowKey(to),
+                "retarget: %s and %s differ in dataflow",
+                from.design->name().c_str(), to.name().c_str());
+    Ddg record = from;
+    record.outputs = unsharedCopy(from.outputs);
+    // Equal keys list the same tasks and, per task, the same nodes in
+    // the same order.
+    std::unordered_map<const uir::Node *, size_t> position;
+    for (const auto &task : from.design->tasks())
+        for (size_t i = 0; i < task->nodes().size(); ++i)
+            position.emplace(task->nodes()[i].get(), i);
+    for (const uir::Node *&node : record.nodes) {
+        const uir::Node &mapped =
+            *to.tasks()[node->parent()->id()]->nodes()[position.at(node)];
+        muir_assert(mapped.name() == node->name(),
+                    "retarget: node %s maps to %s", node->name().c_str(),
+                    mapped.name().c_str());
+        node = &mapped;
+    }
+    return compileDdg(to, std::move(record));
 }
 
 size_t

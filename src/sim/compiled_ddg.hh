@@ -203,4 +203,16 @@ struct CompiledDdg : Ddg
  */
 CompiledDdg compileDdg(const uir::Accelerator &accel, Ddg ddg);
 
+/**
+ * Compile @p from's record against @p to without executing again:
+ * copy the record's columns and its run's functional result, point
+ * each record node at the node in the same task and position of @p to,
+ * and compileDdg the copy. Only the timing of the two designs may
+ * differ: it refuses (panics) unless their uir::dataflowKey()s are
+ * equal, and asserts that every mapped node has its recorded name. The
+ * result equals the index a direct run of @p to compiles, and borrows
+ * @p to, which must outlive it.
+ */
+CompiledDdg retarget(const CompiledDdg &from, const uir::Accelerator &to);
+
 } // namespace muir::sim

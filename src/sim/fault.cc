@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "sim/compiled_ddg.hh"
@@ -739,23 +740,38 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
                             : static_cast<unsigned>(1 + rng.below(6));
         return true;
       case FaultKind::LostSpawn: {
-        size_t i;
+        // An explicit edge draws an auto site from the entries that
+        // have that input, then takes it range-checked.
+        const bool edge_given = spec.edge != FaultSpec::kAuto;
         if (spec.site != FaultSpec::kAutoSite) {
             if (!pickEvent(sites.spawnEvents, "spawn-entry"))
                 return false;
-            if (spec.edge != FaultSpec::kAuto)
-                return pickEdge();
-            i = std::lower_bound(sites.spawnEvents.begin(),
-                                 sites.spawnEvents.end(), plan.event) -
-                sites.spawnEvents.begin();
-        } else if (sites.spawnEvents.empty()) {
-            error = "design has no spawn edges (no child tasks)";
-            return false;
         } else {
-            i = rng.below(sites.spawnEvents.size());
-            plan.event = sites.spawnEvents[i];
+            std::vector<uint64_t> with_edge;
+            if (edge_given)
+                std::copy_if(sites.spawnEvents.begin(),
+                             sites.spawnEvents.end(),
+                             std::back_inserter(with_edge),
+                             [&](uint64_t e) {
+                                 return spec.edge < cd.numInputs(e);
+                             });
+            const auto &pool = edge_given ? with_edge : sites.spawnEvents;
+            if (pool.empty()) {
+                error = edge_given
+                            ? fmt("no spawned entry has an edge %u",
+                                  spec.edge)
+                            : "design has no spawn edges (no child tasks)";
+                return false;
+            }
+            plan.event = pool[rng.below(pool.size())];
         }
+        if (edge_given)
+            return pickEdge();
         // The dispatch edge, not a loop hand-off the entry also waits on.
+        const size_t i = std::lower_bound(sites.spawnEvents.begin(),
+                                          sites.spawnEvents.end(),
+                                          plan.event) -
+                         sites.spawnEvents.begin();
         plan.edge = sites.spawnEdges[i];
         plan.producer = cd.input(plan.event, plan.edge);
         return true;

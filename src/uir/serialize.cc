@@ -216,11 +216,10 @@ emitNode(std::ostringstream &os, const Node &n,
       default:
         break;
     }
-    if (!n.inputs().empty()) {
-        std::vector<std::string> ins;
-        for (const auto &ref : n.inputs())
-            ins.push_back(fmt("%u:%u", seq.at(ref.node), ref.out));
-        os << " in=" << join(ins, ",");
+    const char *sep = " in=";
+    for (const auto &ref : n.inputs()) {
+        os << sep << seq.at(ref.node) << ':' << ref.out;
+        sep = ",";
     }
     if (n.guard().valid())
         os << " guard=" << seq.at(n.guard().node) << ":"
@@ -228,24 +227,28 @@ emitNode(std::ostringstream &os, const Node &n,
     os << "\n";
 }
 
-} // namespace
-
-std::string
-serialize(const Accelerator &accel)
+/**
+ * The graph in the textual format. Without @p timing it leaves out
+ * what the executor does not read: the structure lines and each task's
+ * tiles, queue depth, decoupling and junction ports.
+ */
+void
+emitGraph(std::ostringstream &os, const Accelerator &accel, bool timing)
 {
-    std::ostringstream os;
-    os << "# µIR graph (textual checkpoint)\n";
     os << "accelerator " << accel.name() << "\n";
-    for (const auto &s : accel.structures())
-        emitStructure(os, *s);
+    if (timing)
+        for (const auto &s : accel.structures())
+            emitStructure(os, *s);
     // Declare all tasks before node bodies so callee references always
     // resolve.
     for (const auto &t : accel.tasks()) {
-        os << "task " << t->name() << " kind=" << taskKindName(t->kind())
-           << " tiles=" << t->numTiles() << " queue=" << t->queueDepth()
-           << " decoupled=" << (t->decoupled() ? 1 : 0) << " jr="
-           << t->junctionReadPorts() << " jw="
-           << t->junctionWritePorts();
+        os << "task " << t->name() << " kind=" << taskKindName(t->kind());
+        if (timing)
+            os << " tiles=" << t->numTiles() << " queue="
+               << t->queueDepth() << " decoupled="
+               << (t->decoupled() ? 1 : 0) << " jr="
+               << t->junctionReadPorts() << " jw="
+               << t->junctionWritePorts();
         if (t->parentTask())
             os << " parent=" << t->parentTask()->name();
         os << "\n";
@@ -262,6 +265,24 @@ serialize(const Accelerator &accel)
         os << "end\n";
     }
     os << "root " << accel.root()->name() << "\n";
+}
+
+} // namespace
+
+std::string
+serialize(const Accelerator &accel)
+{
+    std::ostringstream os;
+    os << "# µIR graph (textual checkpoint)\n";
+    emitGraph(os, accel, /*timing=*/true);
+    return os.str();
+}
+
+std::string
+dataflowKey(const Accelerator &accel)
+{
+    std::ostringstream os;
+    emitGraph(os, accel, /*timing=*/false);
     return os.str();
 }
 

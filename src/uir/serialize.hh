@@ -52,6 +52,17 @@ constexpr unsigned kMaxSerializedStructures = 1u << 12;
 /** Serialize the whole graph to the textual format. */
 std::string serialize(const Accelerator &accel);
 
+/**
+ * What a recording of @p accel depends on: the serialized graph without
+ * its structure lines and without each task's tiles, queue depth,
+ * decoupling and junction ports, none of which the executor reads (the
+ * queuing pass sets `decoupled`; only lint and the cost model read it).
+ * Designs with equal keys record the same DDG over the same inputs,
+ * node for node (nodes in the same task and position), so one record
+ * serves them all (sim::retarget).
+ */
+std::string dataflowKey(const Accelerator &accel);
+
 /** Outcome of a recoverable deserialization attempt. */
 struct DeserializeResult
 {

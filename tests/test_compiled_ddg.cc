@@ -30,7 +30,9 @@
 #include "sim/simulator.hh"
 #include "sim/timeline.hh"
 #include "sim/timing.hh"
+#include "support/strings.hh"
 #include "uir/delay_model.hh"
+#include "uir/serialize.hh"
 #include "uopt/pipeline.hh"
 #include "workloads/driver.hh"
 #include "workloads/workload.hh"
@@ -54,6 +56,20 @@ struct Recorded
     const sim::Ddg &ddg() const { return exec->ddg(); }
 };
 
+/** @p w's baseline after the μopt pipeline @p passes. */
+std::unique_ptr<uir::Accelerator>
+lowered(const workloads::Workload &w, const std::string &passes)
+{
+    auto accel = workloads::lowerBaseline(w);
+    if (!passes.empty()) {
+        uopt::PassManager pm;
+        std::string error;
+        EXPECT_TRUE(uopt::buildPipeline(pm, passes, &error)) << error;
+        pm.run(*accel);
+    }
+    return accel;
+}
+
 /** Record @p name's baseline, after the μopt pipeline @p passes. */
 Recorded
 record(const std::string &name, const std::string &passes = "")
@@ -61,19 +77,44 @@ record(const std::string &name, const std::string &passes = "")
     setVerbose(false);
     Recorded r;
     r.workload = workloads::buildWorkload(name);
-    r.accel = workloads::lowerBaseline(r.workload);
-    if (!passes.empty()) {
-        uopt::PassManager pm;
-        std::string error;
-        EXPECT_TRUE(uopt::buildPipeline(pm, passes, &error)) << error;
-        pm.run(*r.accel);
-    }
+    r.accel = lowered(r.workload, passes);
     r.mem = std::make_unique<ir::MemoryImage>(*r.workload.module);
     r.workload.bind(*r.mem);
     r.exec = std::make_unique<sim::UirExecutor>(*r.accel, *r.mem);
     r.exec->run({});
     return r;
 }
+
+/**
+ * The standard-pipeline timing grid of @p w: queue depths, tiles and
+ * banks over its suite's pipeline, as the serve and DSE benchmarks
+ * draw them. Every cell shares the first cell's dataflow.
+ */
+std::vector<std::string>
+timingGrid(const workloads::Workload &w)
+{
+    std::vector<std::string> out;
+    if (w.suite == workloads::Suite::Cilk) {
+        for (unsigned q : {2u, 8u})
+            for (unsigned t : {2u, 4u})
+                for (unsigned b : {2u, 4u})
+                    out.push_back(fmt("queue:%u,tile:%u,bank:%u,fusion", q,
+                                      t, b));
+    } else if (w.usesTensor) {
+        for (unsigned q : {2u, 16u})
+            out.push_back(fmt("queue:%u,localize,fusion,tensor", q));
+    } else {
+        for (unsigned q : {2u, 8u})
+            for (unsigned b : {1u, 8u})
+                out.push_back(
+                    fmt("queue:%u,localize,bank:%u,fusion", q, b));
+    }
+    return out;
+}
+
+/** Queue and tile variants of the baseline, the baseline first. */
+const std::vector<std::string> kBaselineTimings = {
+    "", "queue:1", "queue:8,tile:4", "tile:2", "queue:3,tile:8"};
 
 /** Bit-exact equality of two run values, tensors by content. */
 bool
@@ -300,10 +341,11 @@ TEST(CompiledDdg, PackedAttributesMatchBuilderEvents)
 
 TEST(CompiledDdg, RecordIsIndependentOfTiming)
 {
-    // Queue depths and tile counts shape only the replay: every
-    // variant records the baseline's columns (nodes compared by task
-    // and node name, as each variant is a separate lowering), and its
-    // index, compiled against the variant, replays to runOn's cycles.
+    // Queue depths, tile counts and bank counts shape only the replay:
+    // every variant records its family's first variant's columns
+    // (nodes compared by task and node name, as each variant is a
+    // separate lowering), and its index, compiled against the
+    // variant, replays to runOn's cycles.
     auto names = [](const sim::Ddg &ddg) {
         std::vector<std::string> out;
         for (const uir::Node *node : ddg.nodes)
@@ -311,33 +353,132 @@ TEST(CompiledDdg, RecordIsIndependentOfTiming)
         return out;
     };
     for (const std::string &name : workloads::workloadNames()) {
-        Recorded base = record(name);
-        const sim::Ddg &b = base.ddg();
-        for (const std::string passes :
-             {"queue:1", "queue:8,tile:4", "tile:2", "queue:3,tile:8"}) {
-            const std::string cell = name + " " + passes;
-            Recorded r = record(name, passes);
-            const sim::Ddg &v = r.ddg();
-            ASSERT_EQ(v.numEvents, b.numEvents) << cell;
-            ASSERT_EQ(v.numInvocations, b.numInvocations) << cell;
-            EXPECT_EQ(v.depStart, b.depStart) << cell;
-            EXPECT_EQ(v.deps, b.deps) << cell;
-            EXPECT_EQ(v.memDepBits, b.memDepBits) << cell;
-            EXPECT_EQ(v.addr, b.addr) << cell;
-            EXPECT_EQ(v.words, b.words) << cell;
-            EXPECT_EQ(v.flags, b.flags) << cell;
-            EXPECT_EQ(v.invocation, b.invocation) << cell;
-            EXPECT_EQ(v.nodeOf, b.nodeOf) << cell;
-            EXPECT_EQ(v.invTask, b.invTask) << cell;
-            EXPECT_EQ(names(v), names(b)) << cell;
+        for (const std::vector<std::string> &family :
+             {kBaselineTimings,
+              timingGrid(workloads::buildWorkload(name))}) {
+            Recorded base = record(name, family.front());
+            const sim::Ddg &b = base.ddg();
+            for (size_t i = 1; i < family.size(); ++i) {
+                const std::string cell = name + " " + family[i];
+                Recorded r = record(name, family[i]);
+                const sim::Ddg &v = r.ddg();
+                ASSERT_EQ(v.numEvents, b.numEvents) << cell;
+                ASSERT_EQ(v.numInvocations, b.numInvocations) << cell;
+                EXPECT_EQ(v.depStart, b.depStart) << cell;
+                EXPECT_EQ(v.deps, b.deps) << cell;
+                EXPECT_EQ(v.memDepBits, b.memDepBits) << cell;
+                EXPECT_EQ(v.addr, b.addr) << cell;
+                EXPECT_EQ(v.words, b.words) << cell;
+                EXPECT_EQ(v.flags, b.flags) << cell;
+                EXPECT_EQ(v.invocation, b.invocation) << cell;
+                EXPECT_EQ(v.nodeOf, b.nodeOf) << cell;
+                EXPECT_EQ(v.invTask, b.invTask) << cell;
+                EXPECT_EQ(names(v), names(b)) << cell;
 
-            const uint64_t cycles =
-                sim::scheduleDdg(sim::compileDdg(*r.accel, v)).cycles;
-            workloads::RunResult run = workloads::runOn(r.workload, *r.accel);
-            ASSERT_TRUE(run.check.empty()) << cell << ": " << run.check;
-            EXPECT_EQ(cycles, run.cycles) << cell;
+                const uint64_t cycles =
+                    sim::scheduleDdg(sim::compileDdg(*r.accel, v)).cycles;
+                workloads::RunResult run =
+                    workloads::runOn(r.workload, *r.accel);
+                ASSERT_TRUE(run.check.empty()) << cell << ": " << run.check;
+                EXPECT_EQ(cycles, run.cycles) << cell;
+            }
         }
     }
+}
+
+TEST(CompiledDdg, RetargetEqualsRerecord)
+{
+    // Every cell of the timing grid: the first cell's index, retargeted
+    // to the cell's design, is the index a direct run of the cell
+    // compiles, and replays to the same cycles, stats, log, memory,
+    // outputs and firings.
+    setVerbose(false);
+    size_t cells = 0;
+    for (const std::string &name : workloads::workloadNames()) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        const std::vector<std::string> grid = timingGrid(w);
+        auto first = lowered(w, grid.front());
+        std::shared_ptr<const sim::CompiledDdg> from;
+        {
+            ir::MemoryImage mem(*w.module);
+            w.bind(mem);
+            from = sim::simulate(*first, mem, {}, {.keepCompiled = true})
+                       .compiled;
+        }
+        for (const std::string &passes : grid) {
+            const std::string cell = name + " " + passes;
+            ++cells;
+            auto accel = lowered(w, passes);
+            const sim::CompiledDdg cd = sim::retarget(*from, *accel);
+            EXPECT_EQ(cd.design, accel.get()) << cell;
+
+            ir::MemoryImage direct_mem(*w.module);
+            w.bind(direct_mem);
+            sim::SimResult direct =
+                sim::simulate(*accel, direct_mem, {}, {.log = true});
+            ir::MemoryImage mem(*w.module);
+            w.bind(mem);
+            sim::SimResult replay = sim::simulate(
+                *accel, mem, {}, {.log = true, .compiled = &cd});
+
+            ASSERT_TRUE(direct.compiled && direct.log && replay.log)
+                << cell;
+            EXPECT_EQ(cd.windowDep, direct.compiled->windowDep) << cell;
+            EXPECT_EQ(cd.dependents, direct.compiled->dependents) << cell;
+            EXPECT_EQ(cd.nodes, direct.compiled->nodes) << cell;
+            EXPECT_EQ(replay.cycles, direct.cycles) << cell;
+            EXPECT_EQ(replay.stats.dump(), direct.stats.dump()) << cell;
+            expectSameLog(*direct.log, *replay.log, cell);
+            EXPECT_TRUE(mem.bytes() == direct_mem.bytes()) << cell;
+            EXPECT_TRUE(sameBits(replay.outputs, direct.outputs)) << cell;
+            EXPECT_EQ(replay.firings, direct.firings) << cell;
+            EXPECT_TRUE(w.check(mem).empty()) << cell;
+        }
+    }
+    EXPECT_EQ(cells, 98u);
+}
+
+TEST(DataflowKey, TimingVariantsShareAKey)
+{
+    // Queue depths, tiles and banks leave the key alone, though they
+    // change the serialized graph.
+    setVerbose(false);
+    for (const std::string &name : workloads::workloadNames()) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        for (const std::vector<std::string> &family :
+             {kBaselineTimings, timingGrid(w)}) {
+            auto base = lowered(w, family.front());
+            const std::string key = uir::dataflowKey(*base);
+            bool differs = false;
+            for (size_t i = 1; i < family.size(); ++i) {
+                auto accel = lowered(w, family[i]);
+                EXPECT_TRUE(uir::dataflowKey(*accel) == key)
+                    << name << " " << family[i];
+                differs |= uir::serialize(*accel) != uir::serialize(*base);
+            }
+            EXPECT_TRUE(differs) << name << " " << family.back();
+        }
+    }
+}
+
+TEST(DataflowKey, FusionChangesTheKey)
+{
+    setVerbose(false);
+    for (const std::string name : {"gemm", "2mm", "saxpy", "msort"}) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        EXPECT_NE(uir::dataflowKey(*lowered(w, "queue:2")),
+                  uir::dataflowKey(*lowered(w, "queue:2,fusion")))
+            << name;
+    }
+}
+
+TEST(CompiledDdgDeath, RetargetRefusesAnotherDataflow)
+{
+    // A fused design fires other nodes: its record is not this one.
+    Recorded r = record("gemm", "queue:2");
+    const sim::CompiledDdg cd = sim::compileDdg(*r.accel, r.ddg());
+    auto fused = lowered(r.workload, "queue:2,fusion");
+    EXPECT_DEATH(sim::retarget(cd, *fused), "differ in dataflow");
 }
 
 TEST(CompiledDdgDeath, ForwardDependencyTripsTheFreezeAssert)
@@ -536,7 +677,7 @@ TEST(CompiledDdg, ReplayedTensorOutputsOwnTheirStorage)
 {
     // A hand-built index whose root returns a tensor: the replay hands
     // out a copy, so writing through it changes neither the index nor
-    // the next replay.
+    // the next replay. An index retargeted from it owns its copy too.
     Recorded r = record("saxpy");
     sim::Ddg ddg = r.ddg();
     ddg.outputs = {ir::RuntimeValue::makeTensor(2, 2, {1, 2, 3, 4})};
@@ -554,6 +695,12 @@ TEST(CompiledDdg, ReplayedTensorOutputsOwnTheirStorage)
         (*replay.outputs[0].tensor)[0] = 9;
     }
     EXPECT_EQ((*cd.outputs[0].tensor)[0], 1.0f);
+
+    auto other = lowered(r.workload, "queue:4");
+    const sim::CompiledDdg moved = sim::retarget(cd, *other);
+    ASSERT_EQ(moved.outputs.size(), 1u);
+    EXPECT_NE(moved.outputs[0].tensor, cd.outputs[0].tensor);
+    EXPECT_EQ(*moved.outputs[0].tensor, (std::vector<float>{1, 2, 3, 4}));
 }
 
 // --------------------------------------- shared replay under threads

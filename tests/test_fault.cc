@@ -535,4 +535,28 @@ TEST(Campaign, PinnedSiteOutsideItsKindsPoolIsRejected)
     }
 }
 
+TEST(Campaign, ExplicitLostSpawnEdgeIsHonouredAtAutoSites)
+{
+    // An auto-site lostspawn with :edge= draws from the spawned entries
+    // that have that input and drops exactly it.
+    workloads::Workload w = workloads::buildWorkload("msort");
+    auto accel = workloads::lowerBaseline(w);
+    auto golden = goldenIndex(w, *accel);
+    CampaignResult r = campaignOn("msort", "lostspawn:edge=1", 3, 7);
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.records.size(), 3u);
+    for (const InjectionRecord &rec : r.records) {
+        EXPECT_EQ(rec.plan.edge, 1u);
+        EXPECT_TRUE(golden->flags[rec.plan.event] & kEvEntry);
+        EXPECT_EQ(rec.plan.producer,
+                  golden->input(static_cast<uint32_t>(rec.plan.event), 1));
+    }
+    // No spawned entry of fib has a hundredth input.
+    CampaignResult none = campaignOn("fib", "lostspawn:edge=99", 1, 7);
+    EXPECT_FALSE(none.ok);
+    EXPECT_NE(none.error.find("no spawned entry has an edge 99"),
+              std::string::npos)
+        << none.error;
+}
+
 } // namespace muir::sim

@@ -414,6 +414,109 @@ TEST(ServeCache, OversizedGraphIsARecoverableError)
     EXPECT_EQ(design->error.code, kErrTooLarge);
 }
 
+/** The twelve timing variants serve_sweep asks of @p workload: queue
+ *  depths with bank counts, and tile counts on the Cilk msort. */
+std::vector<std::string>
+sweepVariants(const std::string &workload)
+{
+    std::vector<std::string> out;
+    for (unsigned q : {2u, 4u, 8u}) {
+        if (workload == "msort") {
+            for (unsigned t : {2u, 4u})
+                for (unsigned b : {2u, 4u})
+                    out.push_back(fmt("queue:%u,tile:%u,bank:%u,fusion", q,
+                                      t, b));
+        } else {
+            for (unsigned b : {1u, 2u, 4u, 8u})
+                out.push_back(
+                    fmt("queue:%u,localize,bank:%u,fusion", q, b));
+        }
+    }
+    return out;
+}
+
+/** The OK payload a worker sends for @p design. */
+std::string
+okPayload(const CompiledDesign &design)
+{
+    workloads::RunOptions ro;
+    ro.watchdog = true;
+    ro.maxCycles = 1000000000ull;
+    ro.compiled = design.compiled.get();
+    return canonicalResult(
+        workloads::runOn(design.workload, *design.accel, ro));
+}
+
+TEST(ServeCache, TimingVariantsRecordOncePerDataflow)
+{
+    // Every variant is a design miss, but only a program's first one
+    // executes and records: the rest retarget its record, under a
+    // compile.retarget span, and answer byte for byte what a cache
+    // that records every design answers.
+    DesignCache cache(64);
+    trace::TracerOptions topts;
+    topts.sampleRate = 1.0;
+    trace::Tracer tracer(topts);
+    uint64_t designs = 0;
+    for (const std::string workload : {"2mm", "msort"}) {
+        for (const std::string &passes : sweepVariants(workload)) {
+            RunRequest req;
+            req.workload = workload;
+            req.passes = passes;
+            auto t = tracer.begin("lookup");
+            uint64_t span = t->begin("compile");
+            auto design = cache.lookup(req, t.get(), span);
+            t->end(span);
+            tracer.finish(t, trace::kOutcomeOk);
+            ASSERT_TRUE(design->ok()) << workload << " " << passes;
+            auto direct = DesignCache(1).lookup(req);
+            EXPECT_EQ(okPayload(*design), okPayload(*direct))
+                << workload << " " << passes;
+        }
+        designs += 12;
+        EXPECT_EQ(cache.misses(), designs) << workload;
+        EXPECT_EQ(cache.recordHits(), designs - designs / 12) << workload;
+    }
+    EXPECT_EQ(cache.hits(), 0u);
+    std::map<std::string, unsigned> spans;
+    for (const auto &data : tracer.recent())
+        for (const trace::Span &span : data->spans)
+            ++spans[span.name];
+    EXPECT_EQ(spans["compile.record"], 2u);
+    EXPECT_EQ(spans["compile.retarget"], 22u);
+}
+
+TEST(ServeCacheParallel, RacingMissesOfOneDataflowRecordOnce)
+{
+    // Eight workers miss on eight timing variants of one program at
+    // once: one records, seven wait for it and retarget.
+    const std::vector<std::string> variants = sweepVariants("2mm");
+    DesignCache cache(64);
+    constexpr unsigned kWorkers = 8;
+    std::vector<std::shared_ptr<const CompiledDesign>> got(kWorkers);
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < kWorkers; ++w)
+        workers.emplace_back([&, w] {
+            RunRequest req;
+            req.workload = "2mm";
+            req.passes = variants[w];
+            got[w] = cache.lookup(req);
+        });
+    for (auto &worker : workers)
+        worker.join();
+    EXPECT_EQ(cache.misses(), kWorkers);
+    EXPECT_EQ(cache.recordHits(), kWorkers - 1);
+    for (unsigned w = 0; w < kWorkers; ++w) {
+        ASSERT_TRUE(got[w]->ok()) << variants[w];
+        RunRequest req;
+        req.workload = "2mm";
+        req.passes = variants[w];
+        EXPECT_EQ(okPayload(*got[w]),
+                  okPayload(*DesignCache(1).lookup(req)))
+            << variants[w];
+    }
+}
+
 // ---------------------------------------------------------------- chaos
 
 TEST(ServeChaos, MutationsAreDeterministicAndShaped)
@@ -911,7 +1014,8 @@ TEST(ServeServer, StatsReplyHasTheStableSchema)
     for (const char *key :
          {"muir.serve.v1", "queue_depth", "serve.accepted",
           "serve.shed.quota", "serve.deadline.cycle-budget",
-          "cache_hits", "\"trace\":{\"started\"", "latency",
+          "cache_hits", "record_hits", "\"trace\":{\"started\"",
+          "latency",
           "p99_us"})
         EXPECT_NE(reply.payload.find(key), std::string::npos) << key;
 }
