@@ -121,10 +121,11 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
 
     // Racing misses of one dataflow serialize on its record entry until
     // the first has recorded; the rest retarget what it recorded.
-    std::shared_ptr<Entry> record = recordEntry(
-        req.workload + '\0' + uir::dataflowKey(*design->accel));
-    std::unique_lock<std::mutex> record_lock(record->compileMutex);
-    if (std::shared_ptr<const CompiledDesign> base = record->design) {
+    std::string dataflow = uir::dataflowKey(*design->accel);
+    std::shared_ptr<RecordEntry> tier =
+        recordEntry(req.workload + '\0' + dataflow);
+    std::unique_lock<std::mutex> record_lock(tier->recordMutex);
+    if (std::shared_ptr<const sim::Record> record = tier->record) {
         record_lock.unlock();
         RawSpan span(t, "compile.retarget", parent);
         {
@@ -132,7 +133,7 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
             ++recordHits_;
         }
         design->compiled = std::make_shared<const sim::CompiledDdg>(
-            sim::retarget(*base->compiled, *design->accel));
+            sim::retarget(std::move(record), *design->accel, dataflow));
         return design;
     }
     {
@@ -148,20 +149,22 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
                               /*record_ddg=*/true);
         exec.run({});
         design->compiled = std::make_shared<const sim::CompiledDdg>(
-            sim::compileDdg(*design->accel, exec.takeDdg()));
+            sim::compileDdg(*design->accel, exec.takeDdg(),
+                            std::move(dataflow)));
     }
-    record->design = design;
+    tier->record = design->compiled->record;
     return design;
 }
 
-std::shared_ptr<DesignCache::Entry>
+std::shared_ptr<DesignCache::RecordEntry>
 DesignCache::recordEntry(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, fresh] = records_.try_emplace(key);
     if (!fresh)
         return it->second;
-    std::shared_ptr<Entry> entry = it->second = std::make_shared<Entry>();
+    std::shared_ptr<RecordEntry> entry = it->second =
+        std::make_shared<RecordEntry>();
     recordFifo_.push_back(key);
     while (records_.size() > maxEntries_) {
         records_.erase(recordFifo_.front());

@@ -12,11 +12,12 @@
  * so a client hammering the daemon with the same broken design pays
  * the compile cost once, not per request.
  *
- * A second tier records once per dataflow: it keeps the first design
- * compiled for each (workload, uir::dataflowKey) pair, and a miss whose
- * pair is there retargets that design's record (sim::retarget) instead
- * of executing and recording again. Designs that differ only in
- * timing (queue depths, tiles, banks, ports) share one recording.
+ * A second tier records once per dataflow: it keeps the shared record
+ * (sim::Record) of each (workload, uir::dataflowKey) pair, and a miss
+ * whose pair is there retargets that record (sim::retarget) instead of
+ * executing and recording again. Designs that differ only in timing
+ * (queue depths, tiles, banks, ports) share one recording, in memory
+ * too: each cached design holds only its timing half.
  */
 #pragma once
 
@@ -35,6 +36,7 @@
 namespace muir::sim
 {
 struct CompiledDdg; // sim/compiled_ddg.hh
+struct Record;      // sim/compiled_ddg.hh
 }
 
 namespace muir::serve
@@ -61,9 +63,10 @@ struct CompiledDesign
      * deterministic, so every replay of this (design, inputs) pair
      * records the same DDG and result; sharing the compiled freeze,
      * which carries that result, lets replays skip execution, the
-     * recording and the CSR rebuild. The reference record is dropped
-     * once compiled: the cache holds only the index. Immutable, like
-     * everything else here — any number of concurrent replays read it.
+     * recording and the CSR rebuild. Its record is shared with every
+     * cached design of the same dataflow; the design owns only the
+     * timing half. Immutable, like everything else here — any number
+     * of concurrent replays read it.
      */
     std::shared_ptr<const sim::CompiledDdg> compiled;
     /** Set when compilation failed (accel stays null). */
@@ -116,17 +119,23 @@ class DesignCache
     compile(const RunRequest &req, trace::ActiveTrace *t,
             uint64_t parent);
 
+    struct RecordEntry
+    {
+        std::mutex recordMutex;
+        std::shared_ptr<const sim::Record> record;
+    };
+
     /** The record-tier entry of @p key, created (evicting the oldest
      *  beyond capacity) when absent. */
-    std::shared_ptr<Entry> recordEntry(const std::string &key);
+    std::shared_ptr<RecordEntry> recordEntry(const std::string &key);
 
     const size_t maxEntries_;
     mutable std::mutex mutex_; ///< guards the maps/FIFOs/counters
     std::map<uint64_t, std::shared_ptr<Entry>> entries_;
     std::list<uint64_t> fifo_; ///< insertion order, for eviction
-    /** Record tier: the first design of each (workload, dataflow key),
-     *  keyed by the full text so no collision can share a record. */
-    std::map<std::string, std::shared_ptr<Entry>> records_;
+    /** Record tier: the record of each (workload, dataflow key), keyed
+     *  by the full text so no collision can share a record. */
+    std::map<std::string, std::shared_ptr<RecordEntry>> records_;
     std::list<std::string> recordFifo_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

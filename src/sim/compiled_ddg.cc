@@ -23,12 +23,13 @@ namespace
 class WindowDeps
 {
   public:
-    explicit WindowDeps(const CompiledDdg &cd)
-        : cd_(cd), tasks_(cd.tasks.size()), seq_(cd.numInvocations)
+    WindowDeps(const Record &rec, const CompiledDdg &cd)
+        : rec_(rec), cd_(cd), tasks_(cd.tasks.size()),
+          seq_(rec.numInvocations)
     {
         std::vector<uint32_t> begun(cd.tasks.size(), 0);
-        for (uint32_t i = 0; i < cd.numInvocations; ++i)
-            seq_[i] = begun[cd.invTask[i]]++;
+        for (uint32_t i = 0; i < rec.numInvocations; ++i)
+            seq_[i] = begun[rec.invTask[i]]++;
     }
 
     /** Sequence number of invocation @p inv within its task. */
@@ -38,13 +39,13 @@ class WindowDeps
     uint32_t
     next(uint32_t id)
     {
-        const uint8_t fl = cd_.flags[id];
+        const uint8_t fl = rec_.flags[id];
         if (fl & kEvCompletion) {
             if (fl & kEvDone)
-                complete(id, cd_.invocation[id]);
+                complete(id, rec_.invocation[id]);
             return kNoId32;
         }
-        const uir::Node &node = *cd_.nodes[cd_.nodeOf[id]];
+        const uir::Node &node = *cd_.nodes[rec_.nodeOf[id]];
         if (fl & kEvDispatch) {
             // At most queueWindow() invocations of the callee in
             // flight: the dispatch made after k completions waits for
@@ -59,13 +60,13 @@ class WindowDeps
             return kNoId32;
         // One loop instance per tile's loop control: the first firing
         // of invocation s waits for invocation s - tiles's hand-off.
-        const uint32_t inv = cd_.invocation[id];
-        TaskState &t = tasks_[cd_.invTask[inv]];
+        const uint32_t inv = rec_.invocation[id];
+        TaskState &t = tasks_[rec_.invTask[inv]];
         const bool first = t.lcLast == kNoId32;
         t.lcPrev = t.lcLast;
         t.lcLast = id;
         const uint32_t s = seq_[inv];
-        const uint32_t tiles = cd_.tasks[cd_.invTask[inv]].tiles;
+        const uint32_t tiles = cd_.tasks[rec_.invTask[inv]].tiles;
         if (!first || s < tiles)
             return kNoId32;
         muir_assert(s - tiles < t.handoffs.size(),
@@ -88,7 +89,7 @@ class WindowDeps
     void
     complete(uint32_t id, uint32_t inv)
     {
-        TaskState &t = tasks_[cd_.invTask[inv]];
+        TaskState &t = tasks_[rec_.invTask[inv]];
         t.completions.push_back(id);
         if (t.lcLast == kNoId32)
             return; // Not a loop invocation.
@@ -100,22 +101,54 @@ class WindowDeps
         t.lcLast = t.lcPrev = kNoId32;
     }
 
+    const Record &rec_;
     const CompiledDdg &cd_;
     std::vector<TaskState> tasks_;
     std::vector<uint32_t> seq_;
 };
 
-CompiledDdg
-compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
+/** Freeze @p ddg into a Record: fit its columns and build the
+ *  dependents CSR over its deps. */
+std::shared_ptr<const Record>
+freeze(Ddg &&ddg, std::string dataflow_key)
 {
-    CompiledDdg cd;
-    static_cast<Ddg &>(cd) = std::move(ddg);
-    cd.design = &accel;
-    const uint32_t n = cd.numEvents;
+    auto rec = std::make_shared<Record>();
+    static_cast<Ddg &>(*rec) = std::move(ddg);
+    rec->dataflowKey = std::move(dataflow_key);
     // A moved-in record keeps its growth slack; a copy has none.
     auto fit = [](auto &...cols) { (cols.shrink_to_fit(), ...); };
-    fit(cd.depStart, cd.deps, cd.memDepBits, cd.addr, cd.words, cd.flags,
-        cd.invocation, cd.nodeOf, cd.invTask, cd.nodes);
+    fit(rec->depStart, rec->deps, rec->memDepBits, rec->addr, rec->words,
+        rec->flags, rec->invocation, rec->nodeOf, rec->invTask,
+        rec->nodes);
+
+    // Dependents CSR, consumers ascending: count, prefix, fill in id
+    // order.
+    const uint32_t n = rec->numEvents;
+    rec->depdStart.assign(n + 1, 0);
+    for (uint32_t p : rec->deps)
+        ++rec->depdStart[p + 1];
+    for (uint32_t i = 1; i <= n; ++i)
+        rec->depdStart[i] += rec->depdStart[i - 1];
+    rec->dependents.resize(rec->deps.size());
+    std::vector<uint32_t> cursor(rec->depdStart.begin(),
+                                 rec->depdStart.end() - 1);
+    for (uint32_t id = 0; id < n; ++id)
+        for (uint32_t k = rec->depStart[id]; k < rec->depStart[id + 1]; ++k)
+            rec->dependents[cursor[rec->deps[k]]++] = id;
+    return rec;
+}
+
+/** The timing half of @p rec against @p accel. */
+CompiledDdg
+compileHalf(const uir::Accelerator &accel,
+            std::shared_ptr<const Record> record)
+{
+    CompiledDdg cd;
+    const Record &rec = *record;
+    cd.record = std::move(record);
+    cd.numEvents = rec.numEvents;
+    cd.design = &accel;
+    const uint32_t n = rec.numEvents;
 
     // ---- design tables: task / structure / node / invocation -------
     uint32_t port_cursor = 0;
@@ -126,6 +159,9 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
         ct.task = task.get();
         ct.statPrefix = "task." + task->name() + ".";
         ct.tiles = std::max(1u, task->numTiles());
+        muir_assert(ct.tiles <= 0x10000u,
+                    "compileDdg: task %s has more than 2^16 tiles",
+                    task->name().c_str());
         ct.readPorts = std::max(1u, task->junctionReadPorts());
         ct.writePorts = std::max(1u, task->junctionWritePorts());
         ct.junctionBase = port_cursor;
@@ -162,13 +198,13 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
     cd.portSlots = port_cursor;
 
     uint32_t slot_cursor = 0;
-    cd.nodeInfo.resize(cd.nodes.size());
-    for (size_t nid = 0; nid < cd.nodes.size(); ++nid) {
-        const uir::Node &node = *cd.nodes[nid];
+    cd.nodes.reserve(rec.nodes.size());
+    cd.nodeInfo.resize(rec.nodes.size());
+    for (size_t nid = 0; nid < rec.nodes.size(); ++nid) {
+        const uir::Node &node = resolveNode(accel, rec.nodes[nid]);
+        cd.nodes.push_back(&node);
         CompiledNode &cn = cd.nodeInfo[nid];
         cn.task = static_cast<uint16_t>(node.parent()->id());
-        muir_assert(cd.tasks.at(cn.task).task == node.parent(),
-                    "compileDdg: record belongs to another design");
         cn.slotBase = slot_cursor;
         cn.latency = uir::nodeLatency(node);
         cn.initInterval = uir::nodeInitiationInterval(node);
@@ -180,46 +216,75 @@ compileImpl(const uir::Accelerator &accel, Ddg &&ddg)
     }
     cd.initSlots = slot_cursor;
 
-    WindowDeps windows(cd);
-    cd.invTile.resize(cd.numInvocations);
-    for (uint32_t i = 0; i < cd.numInvocations; ++i)
-        cd.invTile[i] = windows.seq(i) % cd.tasks[cd.invTask[i]].tiles;
+    WindowDeps windows(rec, cd);
+    cd.invTile.resize(rec.numInvocations);
+    for (uint32_t i = 0; i < rec.numInvocations; ++i)
+        cd.invTile[i] = static_cast<uint16_t>(
+            windows.seq(i) % cd.tasks[rec.invTask[i]].tiles);
 
-    // ---- window deps + dependents CSR (consumers ascending) --------
-    // One pass in id order derives each window dep and counts the
-    // dependents of every input; a window dep that is already a record
-    // dep is dropped. A second pass fills the CSR.
+    // ---- window deps + their sparse reverse ------------------------
+    // One pass in id order derives each window dep; one that is
+    // already a record dep is dropped. The reverse is built from the
+    // (producer, consumer) pairs sorted by producer.
     cd.windowDep.assign(n, kNoId32);
-    cd.depdStart.assign(n + 1, 0);
-    uint64_t num_edges = cd.deps.size();
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
     for (uint32_t id = 0; id < n; ++id) {
-        const auto first = cd.deps.begin() + cd.depStart[id];
-        const auto last = cd.deps.begin() + cd.depStart[id + 1];
-        for (auto it = first; it != last; ++it)
-            ++cd.depdStart[*it + 1];
         const uint32_t w = windows.next(id);
-        if (w != kNoId32 && std::find(first, last, w) == last) {
+        if (w == kNoId32)
+            continue;
+        const auto first = rec.deps.begin() + rec.depStart[id];
+        const auto last = rec.deps.begin() + rec.depStart[id + 1];
+        if (std::find(first, last, w) == last) {
             cd.windowDep[id] = w;
-            ++cd.depdStart[w + 1];
-            ++num_edges;
+            edges.emplace_back(w, id);
         }
     }
-    muir_assert(num_edges < kNoId32,
+    muir_assert(rec.deps.size() + edges.size() < kNoId32,
                 "compileDdg: inputs exceed the 32-bit CSR space");
-    for (uint32_t i = 1; i <= n; ++i)
-        cd.depdStart[i] += cd.depdStart[i - 1];
-    cd.dependents.resize(num_edges);
-    {
-        std::vector<uint32_t> cursor(cd.depdStart.begin(),
-                                     cd.depdStart.end() - 1);
-        for (uint32_t id = 0; id < n; ++id) {
-            for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1];
-                 ++k)
-                cd.dependents[cursor[cd.deps[k]]++] = id;
-            if (cd.windowDep[id] != kNoId32)
-                cd.dependents[cursor[cd.windowDep[id]]++] = id;
+    std::sort(edges.begin(), edges.end());
+    const size_t words = (size_t(n) + 63) / 64;
+    cd.windowSrc.assign(words, 0);
+    cd.windowDepd.reserve(edges.size());
+    size_t producers = 0;
+    for (size_t i = 0; i < edges.size(); ++i)
+        producers += i == 0 || edges[i - 1].first != edges[i].first;
+    cd.windowDepdStart.reserve(producers + 1);
+    for (size_t i = 0; i < edges.size(); ++i) {
+        const uint32_t p = edges[i].first;
+        if (i == 0 || edges[i - 1].first != p) {
+            cd.windowSrc[p >> 6] |= uint64_t(1) << (p & 63);
+            cd.windowDepdStart.push_back(
+                static_cast<uint32_t>(cd.windowDepd.size()));
         }
+        cd.windowDepd.push_back(edges[i].second);
     }
+    cd.windowDepdStart.push_back(
+        static_cast<uint32_t>(cd.windowDepd.size()));
+    cd.windowSrcRank.resize(words);
+    uint32_t rank = 0;
+    for (size_t w = 0; w < words; ++w) {
+        cd.windowSrcRank[w] = rank;
+        rank += static_cast<uint32_t>(std::popcount(cd.windowSrc[w]));
+    }
+    return cd;
+}
+
+/** compileDdg's metered body: self-metered like scheduleDdg, so no
+ *  sink installed means no clock reads and zero registry traffic. */
+CompiledDdg
+compileMetered(const uir::Accelerator &accel, Ddg &&ddg,
+               std::string dataflow_key)
+{
+    metrics::Registry *meter = metrics::sink();
+    if (!meter)
+        return compileHalf(accel,
+                           freeze(std::move(ddg), std::move(dataflow_key)));
+    auto t0 = std::chrono::steady_clock::now();
+    CompiledDdg cd = compileHalf(
+        accel, freeze(std::move(ddg), std::move(dataflow_key)));
+    std::chrono::duration<double, std::milli> wall =
+        std::chrono::steady_clock::now() - t0;
+    meter->timerAdd("sim.compile_ddg", wall.count());
     return cd;
 }
 
@@ -232,46 +297,52 @@ vecBytes(const std::vector<T> &v)
 
 } // namespace
 
+const uir::Node &
+resolveNode(const uir::Accelerator &accel, NodeRef ref)
+{
+    muir_assert(ref.task < accel.tasks().size() &&
+                    ref.index < accel.tasks()[ref.task]->nodes().size(),
+                "record node (%u, %u) is not in %s", ref.task, ref.index,
+                accel.name().c_str());
+    return *accel.tasks()[ref.task]->nodes()[ref.index];
+}
+
 CompiledDdg
 compileDdg(const uir::Accelerator &accel, Ddg ddg)
 {
-    // Self-metered like scheduleDdg: no sink installed means no clock
-    // reads and zero registry traffic.
-    metrics::Registry *meter = metrics::sink();
-    if (!meter)
-        return compileImpl(accel, std::move(ddg));
-    auto t0 = std::chrono::steady_clock::now();
-    CompiledDdg cd = compileImpl(accel, std::move(ddg));
-    std::chrono::duration<double, std::milli> wall =
-        std::chrono::steady_clock::now() - t0;
-    meter->timerAdd("sim.compile_ddg", wall.count());
-    return cd;
+    return compileMetered(accel, std::move(ddg), {});
+}
+
+CompiledDdg
+compileDdg(const uir::Accelerator &accel, Ddg ddg,
+           std::string dataflow_key)
+{
+    return compileMetered(accel, std::move(ddg), std::move(dataflow_key));
+}
+
+CompiledDdg
+retarget(std::shared_ptr<const Record> record, const uir::Accelerator &to,
+         const std::string &to_key)
+{
+    muir_assert(record && !record->dataflowKey.empty(),
+                "retarget: the record has no dataflow key");
+    muir_assert(record->dataflowKey == to_key,
+                "retarget: the record and %s differ in dataflow",
+                to.name().c_str());
+    return compileHalf(to, std::move(record));
 }
 
 CompiledDdg
 retarget(const CompiledDdg &from, const uir::Accelerator &to)
 {
     muir_assert(from.design, "retarget: the index names no design");
-    muir_assert(uir::dataflowKey(*from.design) == uir::dataflowKey(to),
+    const std::string to_key = uir::dataflowKey(to);
+    const std::string &key = from.record->dataflowKey;
+    muir_assert(key.empty() ? uir::dataflowKey(*from.design) == to_key
+                            : key == to_key,
                 "retarget: %s and %s differ in dataflow",
                 from.design->name().c_str(), to.name().c_str());
-    Ddg record = from;
-    record.outputs = unsharedCopy(from.outputs);
-    // Equal keys list the same tasks and, per task, the same nodes in
-    // the same order.
-    std::unordered_map<const uir::Node *, size_t> position;
-    for (const auto &task : from.design->tasks())
-        for (size_t i = 0; i < task->nodes().size(); ++i)
-            position.emplace(task->nodes()[i].get(), i);
-    for (const uir::Node *&node : record.nodes) {
-        const uir::Node &mapped =
-            *to.tasks()[node->parent()->id()]->nodes()[position.at(node)];
-        muir_assert(mapped.name() == node->name(),
-                    "retarget: node %s maps to %s", node->name().c_str(),
-                    mapped.name().c_str());
-        node = &mapped;
-    }
-    return compileDdg(to, std::move(record));
+    return compileHalf(to, from.record);
 }
 
 size_t
@@ -286,16 +357,30 @@ ddgBytes(const Ddg &ddg)
 }
 
 size_t
-CompiledDdg::bytes() const
+Record::bytes() const
 {
-    size_t total = ddgBytes(*this) + vecBytes(windowDep) +
-                   vecBytes(depdStart) + vecBytes(dependents) +
+    return ddgBytes(*this) + vecBytes(depdStart) + vecBytes(dependents) +
+           dataflowKey.capacity();
+}
+
+size_t
+CompiledDdg::halfBytes() const
+{
+    size_t total = vecBytes(nodes) + vecBytes(windowDep) +
+                   vecBytes(windowSrc) + vecBytes(windowSrcRank) +
+                   vecBytes(windowDepdStart) + vecBytes(windowDepd) +
                    vecBytes(nodeInfo) + vecBytes(structs) +
                    vecBytes(invTile);
     total += tasks.capacity() * sizeof(CompiledTask);
     for (const auto &t : tasks)
         total += t.statPrefix.capacity();
     return total;
+}
+
+size_t
+CompiledDdg::bytes() const
+{
+    return (record ? record->bytes() : 0) + halfBytes();
 }
 
 } // namespace muir::sim

@@ -18,6 +18,7 @@ namespace
 bool
 happensBefore(const CompiledDdg &cd, uint32_t to, uint32_t from)
 {
+    const Record &rec = *cd.record;
     std::vector<uint32_t> stack{from};
     std::set<uint32_t> seen;
     while (!stack.empty()) {
@@ -27,11 +28,11 @@ happensBefore(const CompiledDdg &cd, uint32_t to, uint32_t from)
             return true;
         if (id < to || !seen.insert(id).second)
             continue;
-        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1];
+        for (uint32_t k = rec.depStart[id]; k < rec.depStart[id + 1];
              ++k) {
-            if (cd.isMemDep(k))
+            if (rec.isMemDep(k))
                 continue; // Ordered only by the memory system.
-            stack.push_back(cd.deps[k]);
+            stack.push_back(rec.deps[k]);
         }
         if (cd.windowDep[id] != kNoId32)
             stack.push_back(cd.windowDep[id]);
@@ -44,16 +45,17 @@ happensBefore(const CompiledDdg &cd, uint32_t to, uint32_t from)
 std::vector<MemConflict>
 findConflicts(const CompiledDdg &cd, size_t max_conflicts)
 {
+    const Record &rec = *cd.record;
     std::vector<MemConflict> conflicts;
-    auto isStore = [&](uint32_t id) { return cd.flags[id] & kEvStore; };
+    auto isStore = [&](uint32_t id) { return rec.flags[id] & kEvStore; };
 
     // Accesses per 4-byte word, in record order.
     std::map<uint64_t, std::vector<uint32_t>> by_word;
     for (uint32_t id = 0; id < cd.numEvents; ++id) {
-        if (!(cd.flags[id] & (kEvLoad | kEvStore)))
+        if (!(rec.flags[id] & (kEvLoad | kEvStore)))
             continue;
-        for (unsigned w = 0; w < std::max<unsigned>(1, cd.words[id]); ++w)
-            by_word[(cd.addr[id] & ~uint64_t(3)) + w * 4].push_back(id);
+        for (unsigned w = 0; w < std::max<unsigned>(1, rec.words[id]); ++w)
+            by_word[(rec.addr[id] & ~uint64_t(3)) + w * 4].push_back(id);
     }
 
     std::set<std::pair<uint32_t, uint32_t>> reported;
@@ -73,8 +75,8 @@ findConflicts(const CompiledDdg &cd, size_t max_conflicts)
                 MemConflict c;
                 c.first = a;
                 c.second = b;
-                c.firstNode = cd.nodes[cd.nodeOf[a]];
-                c.secondNode = cd.nodes[cd.nodeOf[b]];
+                c.firstNode = cd.node(a);
+                c.secondNode = cd.node(b);
                 c.addr = word;
                 conflicts.push_back(c);
             }

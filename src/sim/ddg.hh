@@ -9,13 +9,14 @@
  * memory-only bit per entry, one column per event attribute, and one
  * per invocation attribute. It depends only on the dataflow graph and
  * its inputs: no column holds a latency, tile, port, bank, queue depth
- * or tile count, and no dep exists because of one. The task-queue and
- * loop hand-off windows those parameters impose are derived by
- * compileDdg (sim/compiled_ddg.hh), which takes the columns over as
- * they are and adds the window deps, the dependents CSR and small
- * per-node, per-task, per-structure and per-invocation tables, so a
- * DDG exists in this one form and one record serves every setting of
- * those parameters.
+ * or tile count, and no dep exists because of one. It names no live
+ * node either: a record node is a (task id, position in the task's
+ * node list) pair (NodeRef), which names the same node in every design
+ * that shares the recording design's uir::dataflowKey. So one record
+ * serves every timing variant of its dataflow, in memory too:
+ * compileDdg (sim/compiled_ddg.hh) freezes it once into a shared
+ * sim::Record and adds, per design, only the small timing half (the
+ * window deps those parameters impose and the design tables).
  *
  * The record also carries the functional result of the run that made
  * it: the root live-outs, the firing count and the final value of every
@@ -65,6 +66,10 @@ enum : uint8_t
     /** With kEvCompletion: the invocation's completion, not a
      *  carried-value latch. */
     kEvDone = 1u << 5,
+    /** A firing of a loop-control node. With kEvDone, these are the
+     *  only events a window dep can come from: a completion frees a
+     *  queue slot, a loop-control firing hands a tile over. */
+    kEvLoopControl = 1u << 6,
 };
 
 /** The final value of one 4-byte memory word a run stored to. */
@@ -76,6 +81,23 @@ struct WordWrite
      *  for a word the image's end cuts short). */
     uint32_t value;
 };
+
+/**
+ * A record node: its task (uir::Task::id()) and its position in that
+ * task's nodes(). Designs with equal uir::dataflowKey()s list the same
+ * tasks and, per task, the same nodes in the same order, so a NodeRef
+ * names one node in each of them.
+ */
+struct NodeRef
+{
+    uint32_t task = 0;
+    uint32_t index = 0;
+
+    bool operator==(const NodeRef &) const = default;
+};
+
+/** The node @p ref names in @p accel (range-checked). */
+const uir::Node &resolveNode(const uir::Accelerator &accel, NodeRef ref);
 
 /** The whole execution record, one column per attribute. */
 struct Ddg
@@ -111,8 +133,8 @@ struct Ddg
     std::vector<uint16_t> invTask;
     /** @} */
 
-    /** Dense node id -> live node. */
-    std::vector<const uir::Node *> nodes;
+    /** Dense node id -> its node in the recording design. */
+    std::vector<NodeRef> nodes;
 
     uint32_t numEvents = 0;
     uint32_t numInvocations = 0;

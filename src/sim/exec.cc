@@ -78,10 +78,11 @@ UirExecutor::UirExecutor(const uir::Accelerator &accel,
         if (!record_)
             continue;
         ts.denseNode.assign(ts.idSlots, kNoId32);
-        for (const auto &n : task->nodes()) {
+        for (uint32_t i = 0; i < task->nodes().size(); ++i) {
+            const auto &n = task->nodes()[i];
             ts.denseNode[n->id()] =
                 static_cast<uint32_t>(ddg_.nodes.size());
-            ddg_.nodes.push_back(n.get());
+            ddg_.nodes.push_back({task->id(), i});
             if (n->kind() == NodeKind::Load ||
                 n->kind() == NodeKind::Store)
                 max_words = std::max(max_words, n->accessWords());
@@ -260,7 +261,7 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
             // LoopControl fires: iv advances along the control-only
             // recurrence (prev control event), NOT the carried chain.
             seed_deps.push_back(prev_lc_event);
-            uint64_t lc_event = emit(ctx, lc, seed_deps);
+            uint64_t lc_event = emit(ctx, lc, seed_deps, kEvLoopControl);
             ++firings_;
             if (inj_)
                 inj_->checkFirings(firings_);
@@ -303,7 +304,7 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
         exit_deps.push_back(prev_lc_event);
         for (uint64_t e : carried_srcs)
             exit_deps.push_back(e);
-        uint64_t exit_event = emit(ctx, lc, exit_deps);
+        uint64_t exit_event = emit(ctx, lc, exit_deps, kEvLoopControl);
         ++firings_;
         ctx.tail.push_back(exit_event);
         ctx.lcCarried.clear();

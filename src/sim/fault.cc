@@ -268,22 +268,22 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
     diag.scheduled = processed;
     diag.total = cd.numEvents;
     const uint32_t n = cd.numEvents;
+    const Record &rec = *cd.record;
 
     auto taskOf = [&](uint64_t id) {
-        return cd.tasks[cd.invTask[cd.invocation[id]]].task->name();
+        return cd.tasks[rec.invTask[rec.invocation[id]]].task->name();
     };
     auto nodeOf = [&](uint64_t id) -> std::string {
-        if (cd.nodeOf[id] != kNoId32)
-            return cd.nodes[cd.nodeOf[id]]->name();
-        return "<completion>";
+        const uir::Node *node = cd.node(static_cast<uint32_t>(id));
+        return node ? node->name() : "<completion>";
     };
     auto edgeKind = [&](uint64_t id, uint64_t d) -> std::string {
         if (d == cd.queueSlotDep(id))
             return "queue";
-        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k)
-            if (cd.deps[k] == d && cd.isMemDep(k))
+        for (uint32_t k = rec.depStart[id]; k < rec.depStart[id + 1]; ++k)
+            if (rec.deps[k] == d && rec.isMemDep(k))
                 return "memory";
-        if (cd.flags[id] & kEvEntry)
+        if (rec.flags[id] & kEvEntry)
             return "spawn";
         return "data";
     };
@@ -299,9 +299,9 @@ diagnoseHang(const CompiledDdg &cd, const std::vector<uint32_t> &pending,
     auto lostInput = [&](uint64_t id) -> uint64_t {
         for (uint32_t k = 0, m = cd.numInputs(id); k < m; ++k) {
             const uint32_t d = cd.input(id, k);
-            if (!std::binary_search(
-                    cd.dependents.begin() + cd.depdStart[d],
-                    cd.dependents.begin() + cd.depdStart[d + 1], id))
+            bool arrives = false;
+            cd.forEachDependent(d, [&](uint32_t c) { arrives |= c == id; });
+            if (!arrives)
                 return d;
         }
         return kNoEvent;
@@ -408,34 +408,72 @@ isScheduleFault(FaultKind kind)
 namespace
 {
 
-/** Remove @p e from @p p's dependents: every occurrence, or one. */
+/**
+ * The index a schedule-level fault replays: a copy of the golden
+ * index's timing half that shares the golden record until an edit
+ * reaches the record, which then gets a private copy.
+ */
+struct FaultIndex
+{
+    CompiledDdg cd;
+    std::shared_ptr<Record> owned;
+    /** Per-event node ids when an event has a private node. */
+    std::vector<uint32_t> nodeOf;
+
+    Record &
+    record()
+    {
+        if (!owned) {
+            owned = std::make_shared<Record>(*cd.record);
+            cd.record = owned;
+        }
+        return *owned;
+    }
+};
+
+/** Remove @p e from @p p's record dependents: every occurrence, or
+ *  one. */
 void
-eraseDependent(CompiledDdg &cd, uint32_t p, uint32_t e, bool every)
+eraseRecordDependent(Record &rec, uint32_t p, uint32_t e, bool every)
 {
     auto [lo, hi] =
-        std::equal_range(cd.dependents.begin() + cd.depdStart[p],
-                         cd.dependents.begin() + cd.depdStart[p + 1], e);
+        std::equal_range(rec.dependents.begin() + rec.depdStart[p],
+                         rec.dependents.begin() + rec.depdStart[p + 1], e);
     muir_assert(lo != hi, "scheduleFault: event %u feeds no %u", p, e);
     const auto erased = static_cast<uint32_t>(every ? hi - lo : 1);
-    cd.dependents.erase(lo, lo + erased);
-    for (uint32_t i = p + 1; i <= cd.numEvents; ++i)
-        cd.depdStart[i] -= erased;
+    rec.dependents.erase(lo, lo + erased);
+    for (uint32_t i = p + 1; i <= rec.numEvents; ++i)
+        rec.depdStart[i] -= erased;
 }
 
-/** Remove input @p k (CompiledDdg::input order) of event @p e. */
+/** Remove @p e from @p p's window dependents, where it is once. */
 void
-eraseInput(CompiledDdg &cd, uint32_t e, uint32_t k)
+eraseWindowDependent(CompiledDdg &cd, uint32_t p, uint32_t e)
 {
-    const uint32_t at = cd.depStart[e] + k;
-    if (at == cd.depStart[e + 1]) {
-        cd.windowDep[e] = kNoId32;
-        return;
-    }
-    cd.deps.erase(cd.deps.begin() + at);
-    for (uint32_t i = e + 1; i <= cd.numEvents; ++i)
-        --cd.depStart[i];
+    uint32_t first, last;
+    muir_assert(cd.windowDependents(p, first, last),
+                "scheduleFault: event %u is no window dep", p);
+    const auto it = std::lower_bound(cd.windowDepd.begin() + first,
+                                     cd.windowDepd.begin() + last, e);
+    muir_assert(it != cd.windowDepd.begin() + last && *it == e,
+                "scheduleFault: event %u feeds no %u", p, e);
+    const auto at = static_cast<uint32_t>(it - cd.windowDepd.begin());
+    cd.windowDepd.erase(it);
+    for (uint32_t &start : cd.windowDepdStart)
+        if (start > at)
+            --start;
+}
+
+/** Remove record dep @p k of event @p e. */
+void
+eraseRecordInput(Record &rec, uint32_t e, uint32_t k)
+{
+    const uint32_t at = rec.depStart[e] + k;
+    rec.deps.erase(rec.deps.begin() + at);
+    for (uint32_t i = e + 1; i <= rec.numEvents; ++i)
+        --rec.depStart[i];
     // The memory-only bits above the erased dep move down by one.
-    std::vector<uint64_t> &bits = cd.memDepBits;
+    std::vector<uint64_t> &bits = rec.memDepBits;
     const uint64_t keep = (uint64_t(1) << (at & 63)) - 1;
     const uint64_t low = bits[at >> 6] & keep;
     for (size_t j = at >> 6; j < bits.size(); ++j)
@@ -444,13 +482,16 @@ eraseInput(CompiledDdg &cd, uint32_t e, uint32_t k)
     bits[at >> 6] = (bits[at >> 6] & ~keep) | low;
 }
 
-/** Give event @p e a private copy of its node's timing. */
+/** Give event @p e a private copy of its node's timing: a node of its
+ *  own in the timing half, named by a copy of the node-id column. */
 CompiledNode &
-privateNode(CompiledDdg &cd, uint32_t e)
+privateNode(FaultIndex &fx, uint32_t e)
 {
-    const uint32_t node = cd.nodeOf[e];
+    CompiledDdg &cd = fx.cd;
+    fx.nodeOf = cd.record->nodeOf;
+    const uint32_t node = fx.nodeOf[e];
     muir_assert(node != kNoId32, "scheduleFault: event %u has no node", e);
-    cd.nodeOf[e] = static_cast<uint32_t>(cd.nodeInfo.size());
+    fx.nodeOf[e] = static_cast<uint32_t>(cd.nodeInfo.size());
     cd.nodeInfo.push_back(CompiledNode(cd.nodeInfo[node]));
     cd.nodes.push_back(cd.nodes[node]);
     return cd.nodeInfo.back();
@@ -471,29 +512,42 @@ scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
                           "the edited copy, not the caller's index");
     const auto e = static_cast<uint32_t>(target);
     const auto p = static_cast<uint32_t>(plan.producer);
-    CompiledDdg cd = golden;
+    FaultIndex fx{golden, nullptr, {}};
+    CompiledDdg &cd = fx.cd;
     switch (plan.kind) {
-      case FaultKind::StuckValid:
+      case FaultKind::StuckValid: {
         // Valid is stuck high: e no longer waits for p's token.
         muir_assert(plan.edge < cd.numInputs(e) &&
                         cd.input(e, plan.edge) == p,
                     "scheduleFault: input %u of event %u is not %u",
                     plan.edge, e, p);
-        eraseInput(cd, e, plan.edge);
-        eraseDependent(cd, p, e, /*every=*/false);
+        const Record &rec = *cd.record;
+        if (rec.depStart[e] + plan.edge == rec.depStart[e + 1]) {
+            cd.windowDep[e] = kNoId32;
+            eraseWindowDependent(cd, p, e);
+        } else {
+            Record &own = fx.record();
+            eraseRecordInput(own, e, plan.edge);
+            eraseRecordDependent(own, p, e, /*every=*/false);
+        }
         break;
+      }
       case FaultKind::TokenDrop:
       case FaultKind::LostSpawn:
       case FaultKind::LostSync:
-        eraseDependent(cd, p, e, /*every=*/true);
+        // A window dep is never also a record dep.
+        if (cd.windowDep[e] == p)
+            eraseWindowDependent(cd, p, e);
+        else
+            eraseRecordDependent(fx.record(), p, e, /*every=*/true);
         break;
       case FaultKind::TokenDup:
-        privateNode(cd, e).initInterval *= 2;
+        privateNode(fx, e).initInterval *= 2;
         break;
       default: {
         // DramTimeout: the port times out and the controller retries
         // with exponential backoff.
-        CompiledNode &cn = privateNode(cd, e);
+        CompiledNode &cn = privateNode(fx, e);
         const uint64_t window = cd.structs[cn.structure].missLatency + 32;
         const uint64_t slowed =
             cn.latency +
@@ -512,7 +566,13 @@ scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
     RunContext run = ctx;
     if (plan.kind == FaultKind::StuckValid)
         run.log = &log;
-    FaultRun result{scheduleDdg(cd, run), {}};
+    FaultRun result{
+        scheduleDdg(cd,
+                    fx.nodeOf.empty()
+                        ? std::span<const uint32_t>(cd.record->nodeOf)
+                        : std::span<const uint32_t>(fx.nodeOf),
+                    run),
+        {}};
 
     // Detectors judge completed runs; a hung one is a Hang.
     if (ctx.watchdog->hang.tripped())
@@ -564,14 +624,14 @@ buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
 {
     SiteCatalog sites;
     auto kindOf = [&](uint32_t id) {
-        return cd.nodes[cd.nodeOf[id]]->kind();
+        return cd.node(id)->kind();
     };
     for (uint32_t id = 0; id < cd.numEvents; ++id) {
         const uint32_t inputs = cd.numInputs(id);
         if (inputs == 0)
             continue;
         sites.edgeEvents.push_back(id);
-        if (cd.flags[id] & kEvCompletion)
+        if (cd.record->flags[id] & kEvCompletion)
             continue;
         sites.nodeEdgeEvents.push_back(id);
         switch (kindOf(id)) {
@@ -586,10 +646,10 @@ buildCatalog(const CompiledDdg &cd, const ir::MemoryImage &mem,
           default:
             break;
         }
-        if (cd.flags[id] & kEvEntry) {
+        if (cd.record->flags[id] & kEvEntry) {
             for (uint32_t k = 0; k < inputs; ++k) {
                 uint32_t p = cd.input(id, k);
-                if (!(cd.flags[p] & kEvCompletion) &&
+                if (!(cd.record->flags[p] & kEvCompletion) &&
                     kindOf(p) == uir::NodeKind::ChildCall) {
                     sites.spawnEvents.push_back(id);
                     sites.spawnEdges.push_back(k);
@@ -671,7 +731,7 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
         }
         std::vector<unsigned> cands;
         for (unsigned k = 0; completions && k < edges; ++k)
-            if (cd.flags[cd.input(plan.event, k)] & kEvCompletion)
+            if (cd.record->flags[cd.input(plan.event, k)] & kEvCompletion)
                 cands.push_back(k);
         plan.edge = spec.edge != FaultSpec::kAuto ? spec.edge
                     : cands.empty() ? static_cast<unsigned>(rng.below(edges))

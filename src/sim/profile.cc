@@ -115,9 +115,10 @@ eventCost(const CompiledDdg &cd, const ScheduleLog &log, uint32_t id)
     if (qd != kNoId32 && log.finish[qd] > data_ready)
         c.queueWait = log.finish[qd] - data_ready;
 
-    if (cd.flags[id] & kEvCompletion)
+    const Record &rec = *cd.record;
+    if (rec.flags[id] & kEvCompletion)
         return c;
-    c.tile = cd.invTile[cd.invocation[id]];
+    c.tile = cd.invTile[rec.invocation[id]];
     if (log.memRow[id] == kNoId32) {
         c.iiWait = c.start - c.ready;
         return c;
@@ -126,12 +127,12 @@ eventCost(const CompiledDdg &cd, const ScheduleLog &log, uint32_t id)
     // a refill behind the access when it missed.
     const ScheduleLog::MemStages &m = log.mem[log.memRow[id]];
     const CompiledStruct &cs =
-        cd.structs[cd.nodeInfo[cd.nodeOf[id]].structure];
+        cd.structs[cd.nodeInfo[rec.nodeOf[id]].structure];
     c.iiWait = m.iiStart - c.ready;
     c.junctionWait = m.junctionStart - m.iiStart;
     c.bankWait = c.start - m.junctionStart;
     c.structure = cs.s;
-    c.beats = cs.beats(cd.words[id]);
+    c.beats = cs.beats(rec.words[id]);
     if (m.dramStart != ScheduleLog::kNoRefill) {
         c.dramWait = m.dramStart - (c.start + cs.latency + c.beats - 1);
         c.missPenalty = cs.missLatency;
@@ -149,12 +150,14 @@ tileBusySpans(const CompiledDdg &cd, const ScheduleLog &log)
     std::map<std::pair<uint16_t, uint32_t>,
              std::vector<std::pair<uint64_t, uint64_t>>>
         out;
+    const Record &rec = *cd.record;
     for (uint32_t id = 0; id < cd.numEvents; ++id) {
         const uint64_t s = log.start[id], f = log.finish[id];
-        if (!log.processed(id) || (cd.flags[id] & kEvCompletion) || f <= s)
+        if (!log.processed(id) || (rec.flags[id] & kEvCompletion) ||
+            f <= s)
             continue;
-        const uint32_t inv = cd.invocation[id];
-        out[{cd.invTask[inv], cd.invTile[inv]}].push_back({s, f});
+        const uint32_t inv = rec.invocation[id];
+        out[{rec.invTask[inv], cd.invTile[inv]}].push_back({s, f});
     }
     for (auto &[key, spans] : out) {
         std::sort(spans.begin(), spans.end());
@@ -174,23 +177,24 @@ tileBusySpans(const CompiledDdg &cd, const ScheduleLog &log)
 std::map<uint16_t, std::vector<std::pair<uint64_t, int>>>
 occupancyDeltas(const CompiledDdg &cd, const ScheduleLog &log)
 {
-    std::vector<uint64_t> completionFinish(cd.numInvocations, 0);
-    std::vector<uint32_t> entryEvent(cd.numInvocations, kNoId32);
+    const Record &rec = *cd.record;
+    std::vector<uint64_t> completionFinish(rec.numInvocations, 0);
+    std::vector<uint32_t> entryEvent(rec.numInvocations, kNoId32);
     for (uint32_t id = 0; id < cd.numEvents; ++id) {
         if (!log.processed(id))
             continue;
-        if (cd.flags[id] & kEvCompletion)
-            completionFinish[cd.invocation[id]] = log.finish[id];
-        if (cd.flags[id] & kEvEntry)
-            entryEvent[cd.invocation[id]] = id;
+        if (rec.flags[id] & kEvCompletion)
+            completionFinish[rec.invocation[id]] = log.finish[id];
+        if (rec.flags[id] & kEvEntry)
+            entryEvent[rec.invocation[id]] = id;
     }
     std::map<uint16_t, std::vector<std::pair<uint64_t, int>>> out;
-    for (uint32_t i = 0; i < cd.numInvocations; ++i) {
+    for (uint32_t i = 0; i < rec.numInvocations; ++i) {
         if (entryEvent[i] == kNoId32)
             continue;
         uint64_t enter = log.ready[entryEvent[i]];
         uint64_t leave = std::max(completionFinish[i], enter);
-        auto &deltas = out[cd.invTask[i]];
+        auto &deltas = out[rec.invTask[i]];
         deltas.emplace_back(enter, +1);
         deltas.emplace_back(leave, -1);
     }
@@ -202,6 +206,7 @@ occupancyDeltas(const CompiledDdg &cd, const ScheduleLog &log)
 ProfileResult
 buildProfile(const CompiledDdg &cd, const ScheduleLog &log, uint64_t cycles)
 {
+    const Record &rec = *cd.record;
     ProfileResult r;
     r.cycles = cycles;
     const uint32_t n = cd.numEvents;
@@ -228,16 +233,16 @@ buildProfile(const CompiledDdg &cd, const ScheduleLog &log, uint64_t cycles)
                            : static_cast<unsigned>(std::bit_width(slack));
             ++r.slackHistogram[bucket];
         }
-        if (cd.flags[id] & kEvCompletion)
+        if (rec.flags[id] & kEvCompletion)
             continue;
-        TaskProfile &tp = taskProf(cd.invTask[cd.invocation[id]]);
+        TaskProfile &tp = taskProf(rec.invTask[rec.invocation[id]]);
         ++tp.events;
         StallBreakdown sb = rawStalls(c);
         tp.raw.add(sb);
         r.raw.add(sb);
         if (c.structure) {
             StructProfile &sp =
-                ports[cd.nodeInfo[cd.nodeOf[id]].structure];
+                ports[cd.nodeInfo[rec.nodeOf[id]].structure];
             ++sp.accesses;
             sp.busyBeats += c.beats;
             if (c.bankWait)
@@ -252,8 +257,8 @@ buildProfile(const CompiledDdg &cd, const ScheduleLog &log, uint64_t cycles)
     }
 
     // --- Queue occupancy: invocations in flight over time. ---
-    for (uint32_t i = 0; i < cd.numInvocations; ++i)
-        ++taskProf(cd.invTask[i]).invocations;
+    for (uint32_t i = 0; i < rec.numInvocations; ++i)
+        ++taskProf(rec.invTask[i]).invocations;
     for (const auto &[tid, deltas] : occupancyDeltas(cd, log)) {
         TaskProfile &tp = taskProf(tid);
         uint64_t prev = 0;
@@ -296,10 +301,10 @@ buildProfile(const CompiledDdg &cd, const ScheduleLog &log, uint64_t cycles)
             const EventCost c =
                 eventCost(cd, log, static_cast<uint32_t>(cur));
             uint64_t next = c.critDep;
-            if (!(cd.flags[cur] & kEvCompletion)) {
-                const uir::Node *node = cd.nodes[cd.nodeOf[cur]];
+            if (!(rec.flags[cur] & kEvCompletion)) {
+                const uir::Node *node = cd.node(cur);
                 TaskProfile &tp =
-                    taskProf(cd.invTask[cd.invocation[cur]]);
+                    taskProf(rec.invTask[rec.invocation[cur]]);
                 CritPathEntry &pe = perNode[node];
                 pe.node = node;
                 ++pe.events;
@@ -496,9 +501,10 @@ chromeTraceJson(const CompiledDdg &cd, const ScheduleLog &log,
                 const Timeline *timeline)
 {
     // Slices in processing order; completions have no node to show.
+    const Record &rec = *cd.record;
     std::vector<uint32_t> firings = log.order();
     std::erase_if(firings,
-                  [&](uint32_t id) { return cd.nodeOf[id] == kNoId32; });
+                  [&](uint32_t id) { return cd.node(id) == nullptr; });
 
     std::ostringstream os;
     JsonWriter w(os, /*pretty=*/false);
@@ -521,8 +527,8 @@ chromeTraceJson(const CompiledDdg &cd, const ScheduleLog &log,
     // slice, so the byte stream is identical run to run.
     std::map<std::pair<std::string, uint32_t>, int> tids;
     for (uint32_t id : firings)
-        tids.emplace(std::make_pair(cd.nodes[cd.nodeOf[id]]->parent()->name(),
-                                    cd.invTile[cd.invocation[id]]),
+        tids.emplace(std::make_pair(cd.node(id)->parent()->name(),
+                                    cd.invTile[rec.invocation[id]]),
                      0);
     int next_tid = 0;
     for (auto &[key, tid] : tids) {
@@ -541,7 +547,7 @@ chromeTraceJson(const CompiledDdg &cd, const ScheduleLog &log,
 
     for (uint32_t id : firings) {
         const EventCost c = eventCost(cd, log, id);
-        const uir::Node *node = cd.nodes[cd.nodeOf[id]];
+        const uir::Node *node = cd.node(id);
         int tid = tids.at({node->parent()->name(), c.tile});
         w.beginObject();
         w.field("name", node->name());
@@ -554,7 +560,7 @@ chromeTraceJson(const CompiledDdg &cd, const ScheduleLog &log,
         w.beginObject("args");
         w.field("event", static_cast<uint64_t>(id));
         w.field("invocation",
-                static_cast<uint64_t>(cd.invocation[id]));
+                static_cast<uint64_t>(rec.invocation[id]));
         w.field("ready", c.ready);
         const StallBreakdown sb = rawStalls(c);
         for (size_t i = 0; i < kNumStallClasses; ++i)
@@ -575,14 +581,14 @@ std::string
 traceCsv(const CompiledDdg &cd, const ScheduleLog &log)
 {
     std::ostringstream csv;
+    const Record &rec = *cd.record;
     csv << "event,node,task,kind,invocation,ready,start,finish\n";
     for (uint32_t id : log.order()) {
-        const uir::Node *node =
-            cd.nodeOf[id] == kNoId32 ? nullptr : cd.nodes[cd.nodeOf[id]];
+        const uir::Node *node = cd.node(id);
         csv << id << "," << csvQuote(node ? node->name() : "<completion>")
             << "," << csvQuote(node ? node->parent()->name() : "") << ","
             << csvQuote(node ? uir::nodeKindName(node->kind()) : "done")
-            << "," << cd.invocation[id] << "," << log.ready[id] << ","
+            << "," << rec.invocation[id] << "," << log.ready[id] << ","
             << log.start[id] << "," << log.finish[id] << "\n";
     }
     return csv.str();

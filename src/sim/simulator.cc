@@ -44,10 +44,10 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     if (options.compiled) {
         // The index carries its run's functional result: apply it
         // instead of executing again.
-        const CompiledDdg &cd = *options.compiled;
-        applyWrites(cd, mem);
-        result.outputs = unsharedCopy(cd.outputs);
-        result.firings = cd.firings;
+        const Record &rec = *options.compiled->record;
+        applyWrites(rec, mem);
+        result.outputs = unsharedCopy(rec.outputs);
+        result.firings = rec.firings;
     } else {
         UirExecutor exec(accel, mem);
         std::unique_ptr<FaultInjector> inj;

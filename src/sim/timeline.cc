@@ -96,7 +96,7 @@ buildTimeline(const CompiledDdg &cd, const ScheduleLog &log,
 
     for (uint32_t id = 0; id < events; ++id) {
         // μprof's raw roll-up skips completions too.
-        if (!log.processed(id) || (cd.flags[id] & kEvCompletion))
+        if (!log.processed(id) || (cd.record->flags[id] & kEvCompletion))
             continue;
         const EventCost c = eventCost(cd, log, id);
 

@@ -193,6 +193,29 @@ struct MeterState
 TimingResult
 scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
 {
+    return scheduleDdg(cd, cd.record->nodeOf, ctx);
+}
+
+TimingResult
+scheduleDdg(const CompiledDdg &cd, std::span<const uint32_t> node_of,
+            RunContext &ctx)
+{
+    muir_assert(node_of.size() == cd.numEvents,
+                "timing: %zu node ids for %u events", node_of.size(),
+                cd.numEvents);
+    const Record &rec = *cd.record;
+    // The columns the loop reads per event, hoisted: the ready queue's
+    // pushes may allocate, after which the compiler would reload every
+    // column through the index and its record.
+    const uint8_t *const flags = rec.flags.data();
+    const uint32_t *const invocation = rec.invocation.data();
+    const uint64_t *const addrs = rec.addr.data();
+    const uint16_t *const words_of = rec.words.data();
+    const uint32_t *const depd_start = rec.depdStart.data();
+    const uint32_t *const depd = rec.dependents.data();
+    const uint32_t *const node_ids = node_of.data();
+    const CompiledNode *const node_info = cd.nodeInfo.data();
+    const uint16_t *const inv_tile = cd.invTile.data();
     ScheduleLog *log = ctx.log;
     Watchdog *watchdog = ctx.watchdog;
     const uint64_t budget = watchdog && watchdog->maxCycles
@@ -271,15 +294,15 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         if (mstate)
             mstate->queueDepth.observe(queue.size() + 1);
 
-        const uint8_t fl = cd.flags[id];
+        const uint8_t fl = flags[id];
 
         uint64_t end_time;
         uint64_t started = ready;
         if (fl & kEvCompletion) {
             end_time = ready;
         } else {
-            const CompiledNode &cn = cd.nodeInfo[cd.nodeOf[id]];
-            const uint32_t tile = cd.invTile[cd.invocation[id]];
+            const CompiledNode &cn = node_info[node_ids[id]];
+            const uint32_t tile = inv_tile[invocation[id]];
             // In-order initiation per static node per tile.
             uint64_t &nf = initFree[cn.slotBase + tile];
             uint64_t start = std::max(ready, nf);
@@ -299,8 +322,8 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
 
                 // Structure access.
                 const CompiledStruct &cs = cd.structs[cn.structure];
-                const uint64_t addr = cd.addr[id];
-                const unsigned words = cd.words[id];
+                const uint64_t addr = addrs[id];
+                const unsigned words = words_of[id];
                 unsigned beats = cs.beats(words);
                 const uint64_t junction_start = start;
                 start = claimPort(&portFree[cs.bankSlot(addr)],
@@ -357,13 +380,20 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         }
         finish[id] = end_time;
         result.cycles = std::max(result.cycles, end_time);
-        for (uint32_t k = cd.depdStart[id]; k < cd.depdStart[id + 1];
-             ++k) {
-            uint32_t dep_id = cd.dependents[k];
+        // Record dependents, then window dependents (the order of
+        // CompiledDdg::forEachDependent).
+        auto wake = [&](uint32_t dep_id) {
             readyAt[dep_id] = std::max(readyAt[dep_id], end_time);
             if (--pending[dep_id] == 0)
                 queue.push(dep_id);
-        }
+        };
+        for (uint32_t k = depd_start[id]; k < depd_start[id + 1]; ++k)
+            wake(depd[k]);
+        uint32_t first, last;
+        if ((fl & (kEvDone | kEvLoopControl)) &&
+            cd.windowDependents(id, first, last))
+            for (uint32_t k = first; k < last; ++k)
+                wake(cd.windowDepd[k]);
     }
 
     // Flush the per-run accumulators with the exact key-presence
@@ -414,7 +444,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                     static_cast<unsigned long long>(processed),
                     static_cast<unsigned long>(n));
     }
-    result.stats.set("invocations", cd.numInvocations);
+    result.stats.set("invocations", rec.numInvocations);
 
     // Flush the μmeter scratch: one registry transaction per run.
     if (meter) {
@@ -425,7 +455,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         meter->add("sim.events", processed);
         meter->add("sim.firings", firings);
         meter->add("sim.cycles", result.cycles);
-        meter->add("sim.invocations", cd.numInvocations);
+        meter->add("sim.invocations", rec.numInvocations);
         meter->gaugeMax("sim.ready_queue_peak",
                         mstate->queueDepth.maxValue);
         meter->mergeHistogram("sim.ready_queue_depth",

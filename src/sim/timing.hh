@@ -10,6 +10,8 @@
  */
 #pragma once
 
+#include <span>
+
 #include "sim/ddg.hh"
 #include "sim/run_context.hh"
 #include "support/stats.hh"
@@ -82,6 +84,16 @@ struct ScheduleLog
  * A default RunContext is a plain run; see RunContext.
  */
 TimingResult scheduleDdg(const CompiledDdg &compiled, RunContext &ctx);
+
+/**
+ * scheduleDdg reading each event's record node id from @p node_of (one
+ * entry per event) instead of the record's nodeOf column. μfit's
+ * TokenDup and DramTimeout point one event at a private node this way
+ * and leave the shared record untouched.
+ */
+TimingResult scheduleDdg(const CompiledDdg &compiled,
+                         std::span<const uint32_t> node_of,
+                         RunContext &ctx);
 
 /** Plain compiled replay: no log, no watchdog. */
 inline TimingResult

@@ -29,6 +29,10 @@ fail() {
     < "$TMP/frames" > "$TMP/replies" 2> "$TMP/log"
 rc=$?
 [ "$rc" -eq 0 ] || fail "daemon exited $rc, want 0 (graceful drain)"
+# The daemon is quiet: no µopt pass chatter per design-cache miss.
+if grep -q "µopt:" "$TMP/log"; then
+    fail "daemon stderr carries µopt pass chatter"
+fi
 
 "$CLIENT" --decode < "$TMP/replies" > "$TMP/decoded"
 drc=$?

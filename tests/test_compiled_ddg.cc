@@ -38,6 +38,7 @@
 #include "workloads/workload.hh"
 
 #include "schedule_log_checks.hh"
+#include "sweep_variants.hh"
 
 namespace muir
 {
@@ -151,26 +152,37 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
         Recorded r = record(name);
         const sim::Ddg &ddg = r.ddg();
         sim::CompiledDdg cd = sim::compileDdg(*r.accel, ddg);
+        ASSERT_TRUE(cd.record) << name;
+        const sim::Record &rec = *cd.record;
 
         ASSERT_EQ(cd.numEvents, ddg.numEvents) << name;
-        ASSERT_EQ(cd.numInvocations, ddg.numInvocations) << name;
+        ASSERT_EQ(rec.numInvocations, ddg.numInvocations) << name;
         ASSERT_EQ(ddg.depStart.size(), ddg.numEvents + 1) << name;
-        ASSERT_EQ(cd.depdStart.size(), cd.numEvents + 1) << name;
+        ASSERT_EQ(rec.depdStart.size(), cd.numEvents + 1) << name;
         EXPECT_EQ(cd.design, r.accel.get()) << name;
-        EXPECT_GT(cd.bytes(), sim::ddgBytes(cd)) << name;
+        EXPECT_GT(cd.bytes(), sim::ddgBytes(rec)) << name;
+        EXPECT_EQ(cd.bytes(), rec.bytes() + cd.halfBytes()) << name;
         EXPECT_GT(sim::ddgBytes(ddg), 0u) << name;
 
-        // The record's columns are taken over unchanged.
-        EXPECT_EQ(cd.depStart, ddg.depStart) << name;
-        EXPECT_EQ(cd.deps, ddg.deps) << name;
-        EXPECT_EQ(cd.memDepBits, ddg.memDepBits) << name;
-        EXPECT_EQ(cd.addr, ddg.addr) << name;
-        EXPECT_EQ(cd.words, ddg.words) << name;
-        EXPECT_EQ(cd.flags, ddg.flags) << name;
-        EXPECT_EQ(cd.invocation, ddg.invocation) << name;
-        EXPECT_EQ(cd.nodeOf, ddg.nodeOf) << name;
-        EXPECT_EQ(cd.invTask, ddg.invTask) << name;
-        EXPECT_EQ(cd.nodes, ddg.nodes) << name;
+        // The record's columns are taken over unchanged, and the index
+        // resolves each record node to the design's node.
+        EXPECT_EQ(rec.depStart, ddg.depStart) << name;
+        EXPECT_EQ(rec.deps, ddg.deps) << name;
+        EXPECT_EQ(rec.memDepBits, ddg.memDepBits) << name;
+        EXPECT_EQ(rec.addr, ddg.addr) << name;
+        EXPECT_EQ(rec.words, ddg.words) << name;
+        EXPECT_EQ(rec.flags, ddg.flags) << name;
+        EXPECT_EQ(rec.invocation, ddg.invocation) << name;
+        EXPECT_EQ(rec.nodeOf, ddg.nodeOf) << name;
+        EXPECT_EQ(rec.invTask, ddg.invTask) << name;
+        EXPECT_TRUE(rec.nodes == ddg.nodes) << name;
+        ASSERT_EQ(cd.nodes.size(), ddg.nodes.size()) << name;
+        for (size_t nid = 0; nid < ddg.nodes.size(); ++nid) {
+            const sim::NodeRef ref = ddg.nodes[nid];
+            ASSERT_EQ(cd.nodes[nid],
+                      r.accel->tasks()[ref.task]->nodes()[ref.index].get())
+                << name << " node " << nid;
+        }
 
         // Every dep points backwards; memory-only bits sit on deps
         // into loads or stores only. A window dep points backwards
@@ -195,48 +207,53 @@ TEST(CompiledDdg, CsrRoundTripOnEveryBaseline)
             ++window_deps;
             ASSERT_LT(w, e) << name << " event " << e;
             ASSERT_TRUE((ddg.flags[e] & sim::kEvDispatch) ||
-                        ddg.nodes[ddg.nodeOf[e]]->kind() ==
+                        cd.nodes[ddg.nodeOf[e]]->kind() ==
                             uir::NodeKind::LoopControl)
                 << name << " event " << e;
         }
 
         // Per invocation: a task of this design, and kEvEntry on
         // exactly its first non-completion event.
-        ASSERT_EQ(cd.invTask.size(), cd.numInvocations) << name;
-        std::vector<bool> entered(cd.numInvocations, false);
+        ASSERT_EQ(rec.invTask.size(), rec.numInvocations) << name;
+        std::vector<bool> entered(rec.numInvocations, false);
         for (uint32_t e = 0; e < cd.numEvents; ++e) {
-            uint32_t inv = cd.invocation[e];
-            bool first = !(cd.flags[e] & sim::kEvCompletion) &&
+            uint32_t inv = rec.invocation[e];
+            bool first = !(rec.flags[e] & sim::kEvCompletion) &&
                          !entered[inv];
-            ASSERT_EQ(bool(cd.flags[e] & sim::kEvEntry), first)
+            ASSERT_EQ(bool(rec.flags[e] & sim::kEvEntry), first)
                 << name << " event " << e;
             entered[inv] = entered[inv] || first;
         }
-        for (uint32_t i = 0; i < cd.numInvocations; ++i)
-            ASSERT_EQ(cd.tasks.at(cd.invTask[i]).task->id(),
-                      cd.invTask[i])
+        for (uint32_t i = 0; i < rec.numInvocations; ++i)
+            ASSERT_EQ(cd.tasks.at(rec.invTask[i]).task->id(),
+                      rec.invTask[i])
                 << name << " invocation " << i;
 
-        // Reverse CSR: one entry per input (record and window deps),
-        // each producer's consumer list sorted ascending (the replay's
-        // wake order).
-        ASSERT_EQ(cd.dependents.size(), ddg.deps.size() + window_deps)
-            << name;
-        std::vector<std::vector<uint32_t>> expected(ddg.numEvents);
-        for (uint32_t e = 0; e < ddg.numEvents; ++e)
-            for (uint32_t k = 0; k < cd.numInputs(e); ++k)
-                expected[cd.input(e, k)].push_back(e);
+        // Reverse CSRs: the record's holds one entry per record dep,
+        // the half's one per window dep. An event's dependents are its
+        // record consumers, then its window consumers, each ascending.
+        ASSERT_EQ(rec.dependents.size(), ddg.deps.size()) << name;
+        ASSERT_EQ(cd.windowDepd.size(), window_deps) << name;
+        std::vector<std::vector<uint32_t>> record_depd(ddg.numEvents);
+        std::vector<std::vector<uint32_t>> window_depd(ddg.numEvents);
+        for (uint32_t e = 0; e < ddg.numEvents; ++e) {
+            for (uint32_t k = ddg.depStart[e]; k < ddg.depStart[e + 1];
+                 ++k)
+                record_depd[ddg.deps[k]].push_back(e);
+            if (cd.windowDep[e] != sim::kNoId32)
+                window_depd[cd.windowDep[e]].push_back(e);
+        }
         for (uint32_t p = 0; p < cd.numEvents; ++p) {
             // Recording appends consumers in id order already, but the
             // CSR contract is "ascending" regardless of source order.
-            std::sort(expected[p].begin(), expected[p].end());
-            ASSERT_EQ(cd.depdStart[p + 1] - cd.depdStart[p],
-                      expected[p].size())
-                << name << " producer " << p;
-            for (size_t i = 0; i < expected[p].size(); ++i)
-                ASSERT_EQ(cd.dependents[cd.depdStart[p] + i],
-                          expected[p][i])
-                    << name << " producer " << p;
+            std::vector<uint32_t> expected = record_depd[p];
+            std::sort(expected.begin(), expected.end());
+            std::sort(window_depd[p].begin(), window_depd[p].end());
+            expected.insert(expected.end(), window_depd[p].begin(),
+                            window_depd[p].end());
+            std::vector<uint32_t> got;
+            cd.forEachDependent(p, [&](uint32_t c) { got.push_back(c); });
+            ASSERT_EQ(got, expected) << name << " producer " << p;
         }
     }
 }
@@ -290,7 +307,7 @@ TEST(CompiledDdg, PackedAttributesMatchBuilderEvents)
         ASSERT_EQ(cd.nodeInfo.size(), ddg.nodes.size()) << name;
         uint32_t slot = 0;
         for (size_t nid = 0; nid < cd.nodeInfo.size(); ++nid) {
-            const uir::Node &node = *ddg.nodes[nid];
+            const uir::Node &node = *cd.nodes[nid];
             const sim::CompiledNode &cn = cd.nodeInfo[nid];
             ASSERT_EQ(cn.task, node.parent()->id()) << name;
             EXPECT_EQ(cn.latency, uir::nodeLatency(node)) << name;
@@ -313,9 +330,9 @@ TEST(CompiledDdg, PackedAttributesMatchBuilderEvents)
 
         // Invocations: the round-robin tile of each task's invocations,
         // numbered in the order they begin.
-        ASSERT_EQ(cd.invTile.size(), cd.numInvocations) << name;
+        ASSERT_EQ(cd.invTile.size(), ddg.numInvocations) << name;
         std::vector<uint32_t> begun(cd.tasks.size(), 0);
-        for (uint32_t i = 0; i < cd.numInvocations; ++i)
+        for (uint32_t i = 0; i < ddg.numInvocations; ++i)
             ASSERT_EQ(cd.invTile[i], begun[ddg.invTask[i]]++ %
                                          cd.tasks[ddg.invTask[i]].tiles)
                 << name << " invocation " << i;
@@ -346,10 +363,12 @@ TEST(CompiledDdg, RecordIsIndependentOfTiming)
     // (nodes compared by task and node name, as each variant is a
     // separate lowering), and its index, compiled against the
     // variant, replays to runOn's cycles.
-    auto names = [](const sim::Ddg &ddg) {
+    auto names = [](const Recorded &r) {
         std::vector<std::string> out;
-        for (const uir::Node *node : ddg.nodes)
-            out.push_back(node->parent()->name() + "." + node->name());
+        for (const sim::NodeRef ref : r.ddg().nodes) {
+            const uir::Node &node = sim::resolveNode(*r.accel, ref);
+            out.push_back(node.parent()->name() + "." + node.name());
+        }
         return out;
     };
     for (const std::string &name : workloads::workloadNames()) {
@@ -373,7 +392,8 @@ TEST(CompiledDdg, RecordIsIndependentOfTiming)
                 EXPECT_EQ(v.invocation, b.invocation) << cell;
                 EXPECT_EQ(v.nodeOf, b.nodeOf) << cell;
                 EXPECT_EQ(v.invTask, b.invTask) << cell;
-                EXPECT_EQ(names(v), names(b)) << cell;
+                EXPECT_TRUE(v.nodes == b.nodes) << cell;
+                EXPECT_EQ(names(r), names(base)) << cell;
 
                 const uint64_t cycles =
                     sim::scheduleDdg(sim::compileDdg(*r.accel, v)).cycles;
@@ -424,7 +444,11 @@ TEST(CompiledDdg, RetargetEqualsRerecord)
             ASSERT_TRUE(direct.compiled && direct.log && replay.log)
                 << cell;
             EXPECT_EQ(cd.windowDep, direct.compiled->windowDep) << cell;
-            EXPECT_EQ(cd.dependents, direct.compiled->dependents) << cell;
+            EXPECT_EQ(cd.windowDepd, direct.compiled->windowDepd) << cell;
+            EXPECT_EQ(cd.windowSrc, direct.compiled->windowSrc) << cell;
+            EXPECT_EQ(cd.record->dependents,
+                      direct.compiled->record->dependents)
+                << cell;
             EXPECT_EQ(cd.nodes, direct.compiled->nodes) << cell;
             EXPECT_EQ(replay.cycles, direct.cycles) << cell;
             EXPECT_EQ(replay.stats.dump(), direct.stats.dump()) << cell;
@@ -645,7 +669,7 @@ TEST(CompiledDdg, ReplayCarriesFunctionalResult)
         sim::SimResult direct = sim::simulate(*accel, direct_mem, {},
                                               {.keepCompiled = true});
         ASSERT_TRUE(direct.compiled) << cell;
-        EXPECT_EQ(direct.compiled->firings, direct.firings) << cell;
+        EXPECT_EQ(direct.compiled->record->firings, direct.firings) << cell;
         EXPECT_TRUE(w.check(direct_mem).empty()) << cell;
 
         for (int rep = 0; rep < 2; ++rep) {
@@ -677,30 +701,107 @@ TEST(CompiledDdg, ReplayedTensorOutputsOwnTheirStorage)
 {
     // A hand-built index whose root returns a tensor: the replay hands
     // out a copy, so writing through it changes neither the index nor
-    // the next replay. An index retargeted from it owns its copy too.
+    // the next replay. An index retargeted from it shares the record,
+    // and its replays hand out copies too.
     Recorded r = record("saxpy");
     sim::Ddg ddg = r.ddg();
     ddg.outputs = {ir::RuntimeValue::makeTensor(2, 2, {1, 2, 3, 4})};
     const sim::CompiledDdg cd = sim::compileDdg(*r.accel, std::move(ddg));
-    for (int rep = 0; rep < 2; ++rep) {
-        ir::MemoryImage mem(*r.workload.module);
-        r.workload.bind(mem);
-        sim::SimResult replay =
-            sim::simulate(*r.accel, mem, {}, {.compiled = &cd});
-        ASSERT_EQ(replay.outputs.size(), 1u);
-        ASSERT_TRUE(replay.outputs[0].tensor);
-        EXPECT_NE(replay.outputs[0].tensor, cd.outputs[0].tensor);
-        EXPECT_EQ(*replay.outputs[0].tensor,
-                  (std::vector<float>{1, 2, 3, 4}));
-        (*replay.outputs[0].tensor)[0] = 9;
-    }
-    EXPECT_EQ((*cd.outputs[0].tensor)[0], 1.0f);
-
     auto other = lowered(r.workload, "queue:4");
     const sim::CompiledDdg moved = sim::retarget(cd, *other);
-    ASSERT_EQ(moved.outputs.size(), 1u);
-    EXPECT_NE(moved.outputs[0].tensor, cd.outputs[0].tensor);
-    EXPECT_EQ(*moved.outputs[0].tensor, (std::vector<float>{1, 2, 3, 4}));
+    EXPECT_EQ(moved.record, cd.record);
+    const auto &kept = cd.record->outputs;
+    for (const auto &[accel, index] :
+         {std::pair{r.accel.get(), &cd}, std::pair{other.get(), &moved}}) {
+        for (int rep = 0; rep < 2; ++rep) {
+            ir::MemoryImage mem(*r.workload.module);
+            r.workload.bind(mem);
+            sim::SimResult replay =
+                sim::simulate(*accel, mem, {}, {.compiled = index});
+            ASSERT_EQ(replay.outputs.size(), 1u);
+            ASSERT_TRUE(replay.outputs[0].tensor);
+            EXPECT_NE(replay.outputs[0].tensor, kept[0].tensor);
+            EXPECT_EQ(*replay.outputs[0].tensor,
+                      (std::vector<float>{1, 2, 3, 4}));
+            (*replay.outputs[0].tensor)[0] = 9;
+        }
+    }
+    EXPECT_EQ((*kept[0].tensor)[0], 1.0f);
+}
+
+TEST(CompiledDdg, RetargetSharesTheRecord)
+{
+    // serve_sweep's twelve variants of a program: every retargeted
+    // index points at the source's record, and what it adds, its
+    // timing half, is at most 5 bytes per event.
+    setVerbose(false);
+    for (const std::string name : {"2mm", "msort"}) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        const std::vector<std::string> variants = sweepVariants(w.name);
+        ASSERT_EQ(variants.size(), 12u) << name;
+        auto first = lowered(w, variants.front());
+        ir::MemoryImage mem(*w.module);
+        w.bind(mem);
+        const std::shared_ptr<const sim::CompiledDdg> from =
+            sim::simulate(*first, mem, {}, {.keepCompiled = true})
+                .compiled;
+        ASSERT_TRUE(from && from->record) << name;
+        for (const std::string &passes : variants) {
+            const std::string cell = name + " " + passes;
+            auto accel = lowered(w, passes);
+            const sim::CompiledDdg cd = sim::retarget(*from, *accel);
+            EXPECT_EQ(cd.record, from->record) << cell;
+            EXPECT_EQ(cd.bytes() - cd.record->bytes(), cd.halfBytes())
+                << cell;
+            EXPECT_LE(double(cd.halfBytes()) / cd.numEvents, 5.0) << cell;
+        }
+    }
+}
+
+TEST(CompiledDdg, RecordOutlivesItsFirstDesign)
+{
+    // Retarget a record, then destroy the design and the index that
+    // recorded it: the retargeted index holds the record alone and
+    // still replays to a direct run's cycles, stats, log and memory.
+    setVerbose(false);
+    for (const std::string name : {"2mm", "msort", "gemm"}) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        const std::vector<std::string> grid = timingGrid(w);
+        auto accel = lowered(w, grid.back());
+        std::unique_ptr<const sim::CompiledDdg> moved;
+        std::weak_ptr<const sim::Record> record;
+        {
+            auto first = lowered(w, grid.front());
+            ir::MemoryImage mem(*w.module);
+            w.bind(mem);
+            std::shared_ptr<const sim::CompiledDdg> from =
+                sim::simulate(*first, mem, {}, {.keepCompiled = true})
+                    .compiled;
+            ASSERT_TRUE(from) << name;
+            moved = std::make_unique<const sim::CompiledDdg>(
+                sim::retarget(*from, *accel));
+            record = from->record;
+            EXPECT_EQ(record.use_count(), 2) << name;
+        }
+        EXPECT_EQ(record.use_count(), 1) << name;
+
+        ir::MemoryImage direct_mem(*w.module);
+        w.bind(direct_mem);
+        sim::SimResult direct =
+            sim::simulate(*accel, direct_mem, {}, {.log = true});
+        ir::MemoryImage mem(*w.module);
+        w.bind(mem);
+        sim::SimResult replay = sim::simulate(
+            *accel, mem, {}, {.log = true, .compiled = moved.get()});
+        ASSERT_TRUE(direct.log && replay.log) << name;
+        EXPECT_EQ(replay.cycles, direct.cycles) << name;
+        EXPECT_EQ(replay.stats.dump(), direct.stats.dump()) << name;
+        expectSameLog(*direct.log, *replay.log, name);
+        EXPECT_TRUE(mem.bytes() == direct_mem.bytes()) << name;
+        EXPECT_TRUE(sameBits(replay.outputs, direct.outputs)) << name;
+        EXPECT_EQ(replay.firings, direct.firings) << name;
+        EXPECT_TRUE(w.check(mem).empty()) << name;
+    }
 }
 
 // --------------------------------------- shared replay under threads
@@ -777,6 +878,47 @@ TEST(CompiledDdgParallel, SharedIndexRunOnFromEightWorkers)
             EXPECT_EQ(runs[t].check, "") << name << " " << t;
             EXPECT_TRUE(same_mem[t]) << name << " " << t;
         }
+    }
+}
+
+TEST(CompiledDdgParallel, SharedRecordAcrossTimingHalves)
+{
+    // Eight timing halves of one record, each replayed from its own
+    // thread at once: the shared record is read-only under every
+    // replay (TSan covers this test in CI).
+    setVerbose(false);
+    workloads::Workload w = workloads::buildWorkload("msort");
+    const std::vector<std::string> variants = sweepVariants(w.name);
+    constexpr unsigned kWorkers = 8;
+    std::vector<std::unique_ptr<uir::Accelerator>> accels;
+    for (unsigned t = 0; t < kWorkers; ++t)
+        accels.push_back(lowered(w, variants[t]));
+    ir::MemoryImage mem(*w.module);
+    w.bind(mem);
+    const std::shared_ptr<const sim::CompiledDdg> from =
+        sim::simulate(*accels[0], mem, {}, {.keepCompiled = true})
+            .compiled;
+    ASSERT_TRUE(from);
+    std::vector<sim::CompiledDdg> halves;
+    std::vector<sim::TimingResult> serial;
+    for (unsigned t = 0; t < kWorkers; ++t) {
+        halves.push_back(sim::retarget(*from, *accels[t]));
+        ASSERT_EQ(halves.back().record, from->record) << variants[t];
+        serial.push_back(sim::scheduleDdg(halves.back()));
+    }
+
+    std::vector<sim::TimingResult> runs(kWorkers);
+    std::vector<std::thread> workers;
+    workers.reserve(kWorkers);
+    for (unsigned t = 0; t < kWorkers; ++t)
+        workers.emplace_back(
+            [&, t] { runs[t] = sim::scheduleDdg(halves[t]); });
+    for (auto &worker : workers)
+        worker.join();
+    for (unsigned t = 0; t < kWorkers; ++t) {
+        EXPECT_EQ(runs[t].cycles, serial[t].cycles) << variants[t];
+        EXPECT_EQ(runs[t].stats.toJson(), serial[t].stats.toJson())
+            << variants[t];
     }
 }
 

@@ -221,6 +221,48 @@ TEST(Watchdog, TripsOnPinnedTokenLossWithNamedDiagnosis)
     EXPECT_NE(text.find("never arrived"), std::string::npos) << text;
 }
 
+TEST(Watchdog, DroppedWindowEdgeStarvesItsEvent)
+{
+    // A window dep (a queue slot or a loop hand-off) lives in the
+    // index's timing half, not in the shared record. Dropping one
+    // starves its event on that edge, a stuck-valid one never hangs,
+    // and the golden index replays as before.
+    for (const std::string name : {"conv", "msort"}) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        auto accel = workloads::lowerBaseline(w);
+        auto golden = goldenIndex(w, *accel);
+        const CompiledDdg &cd = *golden;
+        const uint64_t cycles = scheduleDdg(cd).cycles;
+        uint32_t e = 0;
+        while (e < cd.numEvents && cd.windowDep[e] == kNoId32)
+            ++e;
+        ASSERT_LT(e, cd.numEvents) << name;
+        FaultPlan plan;
+        plan.event = e;
+        plan.producer = cd.windowDep[e];
+        plan.edge = cd.numInputs(e) - 1;
+        for (FaultKind kind : {FaultKind::TokenDrop, FaultKind::StuckValid}) {
+            plan.kind = kind;
+            Watchdog watchdog{cycles * 8 + 4096, {}};
+            RunContext ctx;
+            ctx.watchdog = &watchdog;
+            scheduleFault(cd, plan, ctx);
+            if (kind == FaultKind::StuckValid) {
+                EXPECT_FALSE(watchdog.hang.tripped()) << name;
+                continue;
+            }
+            ASSERT_TRUE(watchdog.hang.tripped()) << name;
+            ASSERT_FALSE(watchdog.hang.blocked.empty()) << name;
+            const HangDiagnosis::BlockedEdge &root =
+                watchdog.hang.blocked.front();
+            EXPECT_EQ(root.event, e) << name;
+            EXPECT_EQ(root.waitingOn, plan.producer) << name;
+            EXPECT_TRUE(root.tokenLost) << name;
+        }
+        EXPECT_EQ(scheduleDdg(cd).cycles, cycles) << name;
+    }
+}
+
 TEST(Watchdog, CycleBudgetTripsAsBudgetExceeded)
 {
     workloads::Workload w = workloads::buildWorkload("saxpy");
@@ -383,7 +425,8 @@ TEST(Campaign, PointerFlipOutsideTheImageIsABusError)
     for (uint32_t id = 0; id < ddg.numEvents && gep == kNoId32; ++id) {
         if (ddg.nodeOf[id] == kNoId32)
             continue;
-        const uir::Node &node = *ddg.nodes[ddg.nodeOf[id]];
+        const uir::Node &node =
+            resolveNode(*accel, ddg.nodes[ddg.nodeOf[id]]);
         if (node.kind() == uir::NodeKind::Compute &&
             node.op() == ir::Op::GEP)
             gep = id;
@@ -505,13 +548,13 @@ TEST(Campaign, PinnedSiteOutsideItsKindsPoolIsRejected)
         auto golden = goldenIndex(w, *accel);
         const CompiledDdg &cd = *golden;
         auto dispatch = [&](uint32_t p) {
-            return !(cd.flags[p] & kEvCompletion) &&
-                   cd.nodes[cd.nodeOf[p]]->kind() ==
-                       uir::NodeKind::ChildCall;
+            return !(cd.record->flags[p] & kEvCompletion) &&
+                   cd.node(p)->kind() == uir::NodeKind::ChildCall;
         };
         uint32_t entry = kNoId32;
         for (uint32_t e = 0; e < cd.numEvents; ++e) {
-            if ((cd.flags[e] & (kEvEntry | kEvCompletion)) != kEvEntry ||
+            if ((cd.record->flags[e] & (kEvEntry | kEvCompletion)) !=
+                    kEvEntry ||
                 (entry != kNoId32 &&
                  cd.numInputs(e) <= cd.numInputs(entry)))
                 continue;
@@ -547,7 +590,7 @@ TEST(Campaign, ExplicitLostSpawnEdgeIsHonouredAtAutoSites)
     ASSERT_EQ(r.records.size(), 3u);
     for (const InjectionRecord &rec : r.records) {
         EXPECT_EQ(rec.plan.edge, 1u);
-        EXPECT_TRUE(golden->flags[rec.plan.event] & kEvEntry);
+        EXPECT_TRUE(golden->record->flags[rec.plan.event] & kEvEntry);
         EXPECT_EQ(rec.plan.producer,
                   golden->input(static_cast<uint32_t>(rec.plan.event), 1));
     }

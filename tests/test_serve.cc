@@ -27,11 +27,14 @@
 #include "serve/protocol.hh"
 #include "serve/quota.hh"
 #include "serve/server.hh"
+#include "sim/compiled_ddg.hh"
 #include "support/slog.hh"
 #include "support/strings.hh"
 #include "support/trace.hh"
 #include "uir/serialize.hh"
 #include "workloads/driver.hh"
+
+#include "sweep_variants.hh"
 
 using namespace muir;
 using namespace muir::serve;
@@ -414,27 +417,6 @@ TEST(ServeCache, OversizedGraphIsARecoverableError)
     EXPECT_EQ(design->error.code, kErrTooLarge);
 }
 
-/** The twelve timing variants serve_sweep asks of @p workload: queue
- *  depths with bank counts, and tile counts on the Cilk msort. */
-std::vector<std::string>
-sweepVariants(const std::string &workload)
-{
-    std::vector<std::string> out;
-    for (unsigned q : {2u, 4u, 8u}) {
-        if (workload == "msort") {
-            for (unsigned t : {2u, 4u})
-                for (unsigned b : {2u, 4u})
-                    out.push_back(fmt("queue:%u,tile:%u,bank:%u,fusion", q,
-                                      t, b));
-        } else {
-            for (unsigned b : {1u, 2u, 4u, 8u})
-                out.push_back(
-                    fmt("queue:%u,localize,bank:%u,fusion", q, b));
-        }
-    }
-    return out;
-}
-
 /** The OK payload a worker sends for @p design. */
 std::string
 okPayload(const CompiledDesign &design)
@@ -451,14 +433,15 @@ TEST(ServeCache, TimingVariantsRecordOncePerDataflow)
 {
     // Every variant is a design miss, but only a program's first one
     // executes and records: the rest retarget its record, under a
-    // compile.retarget span, and answer byte for byte what a cache
-    // that records every design answers.
+    // compile.retarget span, share it in memory, and answer byte for
+    // byte what a cache that records every design answers.
     DesignCache cache(64);
     trace::TracerOptions topts;
     topts.sampleRate = 1.0;
     trace::Tracer tracer(topts);
     uint64_t designs = 0;
     for (const std::string workload : {"2mm", "msort"}) {
+        std::shared_ptr<const sim::Record> shared;
         for (const std::string &passes : sweepVariants(workload)) {
             RunRequest req;
             req.workload = workload;
@@ -469,6 +452,11 @@ TEST(ServeCache, TimingVariantsRecordOncePerDataflow)
             t->end(span);
             tracer.finish(t, trace::kOutcomeOk);
             ASSERT_TRUE(design->ok()) << workload << " " << passes;
+            ASSERT_TRUE(design->compiled) << workload << " " << passes;
+            if (!shared)
+                shared = design->compiled->record;
+            EXPECT_EQ(design->compiled->record, shared)
+                << workload << " " << passes;
             auto direct = DesignCache(1).lookup(req);
             EXPECT_EQ(okPayload(*design), okPayload(*direct))
                 << workload << " " << passes;

@@ -56,10 +56,10 @@ checkIiSoundness(const IiBoundAnalysis &ii, const sim::CompiledDdg &cd,
     uint64_t measured = 0;
     std::map<uint32_t, InvocationSpan> invs;
     for (uint32_t e = 0; e < cd.numEvents; ++e) {
-        if (cd.nodeOf[e] == sim::kNoId32)
+        const uir::Node *node = cd.node(e);
+        if (node == nullptr)
             continue; // Completion marker.
-        const uir::Node *node = cd.nodes[cd.nodeOf[e]];
-        InvocationSpan &v = invs[cd.invocation[e]];
+        InvocationSpan &v = invs[cd.record->invocation[e]];
         v.task = node->parent();
         v.minStart = std::min(v.minStart, log.start[e]);
         v.maxFinish = std::max(v.maxFinish, log.finish[e]);

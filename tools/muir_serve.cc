@@ -280,6 +280,8 @@ serveSocket(serve::Server &server, const std::string &path,
 int
 main(int argc, char **argv)
 {
+    // Pass chatter per cache miss would flood the daemon's stderr.
+    setVerbose(false);
     bool stdio = false;
     std::string socket_path;
     std::string stats_path;
