@@ -13,7 +13,9 @@
  *  - every well-formed request resolves to exactly one of
  *    OK / ERROR / SHED / DEADLINE — no silence, no duplicates;
  *  - OK payloads are byte-identical to a direct in-process run of the
- *    same design (the daemon is a transport, not a transform).
+ *    same design (the daemon is a transport, not a transform);
+ *  - OK replies come from each design's cached OK reply, and only the
+ *    budget-limited requests replay.
  *
  * Everything is seeded (SplitMix64), so a failing storm replays
  * exactly. Results go to BENCH_serve_storm.json: reply mix, throughput
@@ -365,17 +367,32 @@ main(int argc, char **argv)
                        "always-retain rule leaked",
                        (unsigned long long)tracer.droppedFor(outcome),
                        outcome);
-    // Compile-once replay audit: each design key is recorded and
-    // frozen exactly once; every later OK run must replay the cached
-    // CompiledDdg. With hundreds of runs over a handful of keys, a
-    // zero reuse count means replays are silently rebuilding the
-    // index — the layout win would be gone with no test noticing.
-    uint64_t compiled_reuse = server.registry().snapshot().counter(
-        "serve.compiled_ddg.reuse");
-    if (compiled_reuse == 0)
-        muir_fatal("storm: %u OK replies but zero compiled-DDG "
-                   "reuses -- replays are rebuilding the replay index",
-                   ok);
+    // Memo audit: every design in the mix passes its golden check, so
+    // it carries its OK reply, and only a budget below its cycles
+    // replays. Every replay must then be a max_cycles=10 request that
+    // tripped its budget: an OK reply that replayed means hits are
+    // rebuilding bytes the design already holds, and no replay at all
+    // means tight budgets no longer reach the watchdog.
+    metrics::Snapshot snap = server.registry().snapshot();
+    uint64_t replays = snap.counter("serve.replays");
+    uint64_t budget_trips = snap.counter("serve.deadline.cycle-budget");
+    if (replays == 0 || replays != budget_trips)
+        muir_fatal("storm: %llu replays for %llu cycle-budget "
+                   "deadlines -- %s",
+                   (unsigned long long)replays,
+                   (unsigned long long)budget_trips,
+                   replays ? "OK replies replayed instead of answering "
+                             "from the design's OK reply"
+                           : "budget-limited requests did not replay");
+    // Replays of a cached index: the ones above plus one per design
+    // miss, as muir.serve.v1 reports them.
+    JsonValue stats;
+    const JsonValue *reuse = nullptr;
+    if (jsonParse(server.statsJson(), &stats))
+        reuse = stats.get("muir.serve.v1", "compiled_ddg_reuse");
+    if (!reuse)
+        muir_fatal("storm: muir.serve.v1 has no compiled_ddg_reuse");
+    uint64_t compiled_reuse = reuse->asU64();
 
     if (traces_retained == 0 || traces_dropped == 0)
         muir_fatal("storm: rate-0.5 sampling must both retain and "

@@ -18,6 +18,10 @@
  * executing and recording again. Designs that differ only in timing
  * (queue depths, tiles, banks, ports) share one recording, in memory
  * too: each cached design holds only its timing half.
+ *
+ * Compiling ends with one replay of the new index with no cycle
+ * budget; the design keeps that replay's OK reply and cycle count, so
+ * a request whose budget cannot trip is answered without replaying.
  */
 #pragma once
 
@@ -69,6 +73,16 @@ struct CompiledDesign
      * of concurrent replays read it.
      */
     std::shared_ptr<const sim::CompiledDdg> compiled;
+    /**
+     * The design's OK reply: canonicalResult of one replay of
+     * `compiled` with no cycle budget, and that replay's cycles. A
+     * request whose budget is at least `cycles` cannot trip the
+     * watchdog (every event is ready by then), so it gets this reply
+     * without a replay. Empty when the golden check failed or the
+     * replay hung; every request of such a design replays.
+     */
+    std::string okReply;
+    uint64_t cycles = 0;
     /** Set when compilation failed (accel stays null). */
     ErrorReply error;
 
@@ -94,8 +108,8 @@ class DesignCache
      * cache=hit|miss attribute, and an actual compilation records
      * compile.lower / compile.parse / compile.lint /
      * compile.optimize child spans under it, then compile.record or
-     * (a record-tier hit) compile.retarget. Tracing adds no locking
-     * and no work when @p t is null.
+     * (a record-tier hit) compile.retarget, then compile.replay.
+     * Tracing adds no locking and no work when @p t is null.
      */
     std::shared_ptr<const CompiledDesign>
     lookup(const RunRequest &req, trace::ActiveTrace *t = nullptr,
@@ -106,6 +120,9 @@ class DesignCache
     uint64_t misses() const;
     /** Design misses that retargeted a cached record. */
     uint64_t recordHits() const;
+    /** Replays that filled a design's OK reply: one per design miss
+     *  that compiled. */
+    uint64_t replays() const;
     size_t size() const;
 
   private:
@@ -140,6 +157,7 @@ class DesignCache
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t recordHits_ = 0;
+    uint64_t replays_ = 0;
 };
 
 } // namespace muir::serve

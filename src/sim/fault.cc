@@ -561,8 +561,9 @@ scheduleFault(const CompiledDdg &golden, const FaultPlan &plan,
     }
 
     // StuckValid's detector (did e start before p finished raising
-    // valid?) reads the schedule back from a log of its own.
-    ScheduleLog log;
+    // valid?) reads the schedule back from a log of its own, one per
+    // thread: its columns keep their capacity from run to run.
+    thread_local ScheduleLog log;
     RunContext run = ctx;
     if (plan.kind == FaultKind::StuckValid)
         run.log = &log;

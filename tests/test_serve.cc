@@ -29,6 +29,7 @@
 #include "serve/server.hh"
 #include "sim/compiled_ddg.hh"
 #include "support/slog.hh"
+#include "support/json.hh"
 #include "support/strings.hh"
 #include "support/trace.hh"
 #include "uir/serialize.hh"
@@ -505,6 +506,29 @@ TEST(ServeCacheParallel, RacingMissesOfOneDataflowRecordOnce)
     }
 }
 
+TEST(ServeCache, MemoReplyEqualsAFreshReplayOnTheSweepGrid)
+{
+    // serve_sweep's 84 designs: the OK reply each design keeps is what
+    // a direct run of it, executing and recording afresh, answers.
+    DesignCache cache(84);
+    for (const std::string workload :
+         {"2mm", "3mm", "covar", "conv", "fft", "stencil", "msort"})
+        for (const std::string &passes : sweepVariants(workload)) {
+            RunRequest req;
+            req.workload = workload;
+            req.passes = passes;
+            auto design = cache.lookup(req);
+            ASSERT_TRUE(design->ok()) << workload << " " << passes;
+            workloads::RunResult direct =
+                workloads::runOn(design->workload, *design->accel);
+            EXPECT_EQ(design->okReply, canonicalResult(direct))
+                << workload << " " << passes;
+            EXPECT_EQ(design->cycles, direct.cycles)
+                << workload << " " << passes;
+        }
+    EXPECT_EQ(cache.replays(), 84u);
+}
+
 // ---------------------------------------------------------------- chaos
 
 TEST(ServeChaos, MutationsAreDeterministicAndShaped)
@@ -892,6 +916,72 @@ TEST(ServeServer, CycleBudgetTripsTheWatchdogDeterministically)
     server.drain(10000);
 }
 
+/** The muir.serve.v1 compiled_ddg_reuse counter of @p server. */
+uint64_t
+compiledReuse(const Server &server)
+{
+    JsonValue doc;
+    EXPECT_TRUE(jsonParse(server.statsJson(), &doc));
+    const JsonValue *reuse = doc.get("muir.serve.v1", "compiled_ddg_reuse");
+    return reuse ? reuse->asU64() : ~uint64_t(0);
+}
+
+TEST(ServeServer, BudgetAtTheDesignsCyclesIsAnsweredFromTheMemo)
+{
+    // A budget of exactly the design's cycles cannot trip, so the
+    // design's OK reply answers it; one cycle less replays under the
+    // watchdog and trips as a direct run with that budget does.
+    for (const std::string workload : {"fib", "gemm"}) {
+        RunRequest req;
+        req.workload = workload;
+        auto design = DesignCache(1).lookup(req);
+        ASSERT_TRUE(design->ok()) << workload;
+        const uint64_t cycles = design->cycles;
+        ASSERT_GT(cycles, 0u) << workload;
+        workloads::RunOptions ro;
+        ro.watchdog = true;
+        ro.maxCycles = cycles - 1;
+        workloads::RunResult tight =
+            workloads::runOn(design->workload, *design->accel, ro);
+        ASSERT_TRUE(tight.hang.tripped()) << workload;
+
+        Server server;
+        TestClient client;
+        client.attach(server, "c");
+        ASSERT_TRUE(server.feed(
+            client.session,
+            encodeFrame(FrameKind::Run, 1, renderRunRequest(req))));
+        ASSERT_TRUE(client.waitForReplies(1));
+        ASSERT_EQ(client.reply(0).kindEnum(), FrameKind::Ok) << workload;
+        const uint64_t reuse = compiledReuse(server);
+
+        req.maxCycles = cycles;
+        ASSERT_TRUE(server.feed(
+            client.session,
+            encodeFrame(FrameKind::Run, 2, renderRunRequest(req))));
+        ASSERT_TRUE(client.waitForReplies(2));
+        Frame at = client.reply(1);
+        ASSERT_EQ(at.kindEnum(), FrameKind::Ok) << at.payload;
+        EXPECT_EQ(at.payload,
+                  directCanonical(workload, "", 1000000000ull));
+        EXPECT_EQ(compiledReuse(server), reuse) << workload;
+
+        req.maxCycles = cycles - 1;
+        ASSERT_TRUE(server.feed(
+            client.session,
+            encodeFrame(FrameKind::Run, 3, renderRunRequest(req))));
+        ASSERT_TRUE(client.waitForReplies(3));
+        Frame below = client.reply(2);
+        ASSERT_EQ(below.kindEnum(), FrameKind::Deadline) << below.payload;
+        DeadlineReply dl;
+        ASSERT_TRUE(parseDeadlineReply(below.payload, dl));
+        EXPECT_EQ(dl.reason, "cycle-budget");
+        EXPECT_EQ(dl.detail, tight.hang.render()) << workload;
+        EXPECT_EQ(compiledReuse(server), reuse + 1) << workload;
+        server.drain(10000);
+    }
+}
+
 TEST(ServeServer, DrainShedsNewWorkAndResolvesEverythingAdmitted)
 {
     ServerOptions options;
@@ -1152,6 +1242,57 @@ TEST(ServeTrace, DeadlineReplyPartitionsTheWallTime)
     EXPECT_EQ(traces[0]->stageUs("admission") +
                   traces[0]->stageUs("queue-wait"),
               traces[0]->durUs);
+    server.stop();
+}
+
+TEST(ServeTrace, MemoHitPartitionsTheWallTime)
+{
+    // The second request for a design is answered from its OK reply:
+    // a cache hit with no simulate span, whose stages still sum to the
+    // total. The first request's compile stage made that reply.
+    Server server;
+    TestClient client;
+    client.attach(server, "c");
+    RunRequest req;
+    req.workload = "fib";
+    for (uint32_t tag = 1; tag <= 2; ++tag) {
+        req.traceId = 0xA0 + tag;
+        ASSERT_TRUE(server.feed(
+            client.session,
+            encodeFrame(FrameKind::Run, tag, renderRunRequest(req))));
+        ASSERT_TRUE(client.waitForReplies(tag));
+        ASSERT_EQ(client.reply(tag - 1).kindEnum(), FrameKind::Ok);
+    }
+    server.drain(10000);
+
+    auto first = server.tracer().recent(0, 0xA1);
+    auto second = server.tracer().recent(0, 0xA2);
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(second.size(), 1u);
+    std::map<uint64_t, std::string> names;
+    for (const trace::Span &span : first[0]->spans)
+        names[span.id] = span.name;
+    unsigned replays = 0;
+    for (const trace::Span &span : first[0]->spans)
+        if (span.name == "compile.replay") {
+            ++replays;
+            EXPECT_EQ(names[span.parent], "compile");
+        }
+    EXPECT_EQ(replays, 1u);
+
+    const trace::TraceData &hit = *second[0];
+    EXPECT_EQ(hit.outcome, trace::kOutcomeOk);
+    std::string cache;
+    for (const trace::Span &span : hit.spans) {
+        EXPECT_NE(span.name, "simulate");
+        for (const auto &[key, value] : span.attrs)
+            if (span.name == "compile" && key == "cache")
+                cache = value;
+    }
+    EXPECT_EQ(cache, "hit");
+    EXPECT_EQ(hit.stageUs("admission") + hit.stageUs("queue-wait") +
+                  hit.stageUs("compile") + hit.stageUs("run"),
+              hit.durUs);
     server.stop();
 }
 
