@@ -136,7 +136,6 @@ main(int argc, char **argv)
     options.traceSeed = seed;
     options.traceRingCapacity = 64;
     Server server(options);
-    metrics::ScopedSink sink(&server.registry());
 
     auto epoch = std::chrono::steady_clock::now();
     auto makeSink = [epoch](StormClient &client) {

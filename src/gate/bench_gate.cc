@@ -47,17 +47,6 @@ standardPasses(const workloads::Workload &w)
     return "queue,localize,bank:4,fusion";
 }
 
-/** Stable 64-bit key hash (FNV-1a) so seeded perturbation picks the
- *  same site per cell on every platform. */
-uint64_t
-cellHash(const std::string &key)
-{
-    uint64_t h = 0xCBF29CE484222325ull;
-    for (char c : key)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
-    return h;
-}
-
 /** Apply a perturbation to one design (pinned or seeded form). */
 void
 applyPerturbation(uir::Accelerator &accel, const Perturbation &perturb,
@@ -75,7 +64,9 @@ applyPerturbation(uir::Accelerator &accel, const Perturbation &perturb,
     // Seeded form: SplitMix64 over (seed, cell) picks one non-DRAM
     // structure and an extra latency in [1, 8] — deterministic per
     // cell, independent of measurement order and job count.
-    SplitMix64 rng(perturb.seed ^ cellHash(cell_key));
+    // FNV-1a is stable across platforms, so a seeded perturbation
+    // picks the same site per cell everywhere.
+    SplitMix64 rng(perturb.seed ^ fnv1a64(cell_key));
     std::vector<uir::Structure *> candidates;
     for (const auto &s : accel.structures())
         if (s->kind() != uir::StructureKind::Dram)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "support/strings.hh"
 #include "uir/lint/lint.hh"
 #include "uir/serialize.hh"
 #include "uopt/pass.hh"
@@ -11,17 +12,6 @@
 
 namespace muir::serve
 {
-
-uint64_t
-fnv1a64(const std::string &bytes)
-{
-    uint64_t h = 0xCBF29CE484222325ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001B3ull;
-    }
-    return h;
-}
 
 uint64_t
 designKey(const RunRequest &req)
@@ -37,29 +27,6 @@ designKey(const RunRequest &req)
     material += req.graph;
     return fnv1a64(material);
 }
-
-namespace
-{
-
-/** Null-safe RAII span over a raw ActiveTrace pointer. */
-struct RawSpan
-{
-    trace::ActiveTrace *t;
-    uint64_t id = 0;
-    RawSpan(trace::ActiveTrace *t, const char *name, uint64_t parent)
-        : t(t)
-    {
-        if (t)
-            id = t->begin(name, parent);
-    }
-    ~RawSpan()
-    {
-        if (t)
-            t->end(id);
-    }
-};
-
-} // namespace
 
 std::shared_ptr<const CompiledDesign>
 DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
@@ -85,11 +52,11 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
     design->workload = workloads::buildWorkload(req.workload);
 
     if (req.graph.empty()) {
-        RawSpan span(t, "compile.lower", parent);
+        trace::ScopedSpan span(t, "compile.lower", parent);
         design->accel = workloads::lowerBaseline(design->workload);
     } else {
         {
-            RawSpan span(t, "compile.parse", parent);
+            trace::ScopedSpan span(t, "compile.parse", parent);
             auto parsed = uir::deserializeOrError(
                 req.graph, design->workload.module.get());
             if (!parsed.ok()) {
@@ -103,7 +70,7 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
         // A hostile graph can parse yet still violate invariants the
         // passes and scheduler assume; the standard lint gate turns
         // that into a structured reply instead of a downstream panic.
-        RawSpan span(t, "compile.lint", parent);
+        trace::ScopedSpan span(t, "compile.lint", parent);
         auto diags = uir::lint::Linter::standard().run(*design->accel);
         if (uir::lint::countAtLeast(diags,
                                     uir::lint::Severity::Error) > 0)
@@ -111,7 +78,7 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
     }
 
     if (!req.passes.empty()) {
-        RawSpan span(t, "compile.optimize", parent);
+        trace::ScopedSpan span(t, "compile.optimize", parent);
         uopt::PassManager pm;
         std::string perr;
         if (!uopt::buildPipeline(pm, req.passes, &perr))
@@ -127,7 +94,7 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
     std::unique_lock<std::mutex> record_lock(tier->recordMutex);
     if (std::shared_ptr<const sim::Record> record = tier->record) {
         record_lock.unlock();
-        RawSpan span(t, "compile.retarget", parent);
+        trace::ScopedSpan span(t, "compile.retarget", parent);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++recordHits_;
@@ -140,7 +107,7 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
         // is deterministic over the workload's fixed inputs, so the
         // record and the functional result it carries are the ones
         // every replay would produce, and no replay executes again.
-        RawSpan span(t, "compile.record", parent);
+        trace::ScopedSpan span(t, "compile.record", parent);
         ir::MemoryImage mem(*design->workload.module);
         design->workload.bind(mem);
         sim::UirExecutor exec(*design->accel, mem,
@@ -157,7 +124,7 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
     // watchdog only detects starvation). An OK reply is a function of
     // the design alone, so every request whose budget reaches these
     // cycles gets these bytes.
-    RawSpan span(t, "compile.replay", parent);
+    trace::ScopedSpan span(t, "compile.replay", parent);
     workloads::RunOptions ro;
     ro.watchdog = true;
     ro.compiled = design->compiled.get();

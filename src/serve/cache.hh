@@ -46,9 +46,6 @@ struct Record;      // sim/compiled_ddg.hh
 namespace muir::serve
 {
 
-/** FNV-1a over a byte string (the cache key hash). */
-uint64_t fnv1a64(const std::string &bytes);
-
 /** Cache key of one RUN request: what the compiled design depends on. */
 uint64_t designKey(const RunRequest &req);
 

@@ -11,25 +11,6 @@ namespace muir::serve
 namespace
 {
 
-/** Strict decimal u64 parse; rejects empty/junk/overflow. */
-bool
-parseU64(const std::string &text, uint64_t &out)
-{
-    if (text.empty() || text.size() > 20)
-        return false;
-    uint64_t v = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        uint64_t digit = uint64_t(c - '0');
-        if (v > (~uint64_t(0) - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
-
 /**
  * Trace-id parse: decimal, or 0x-prefixed hex so ids can be pasted
  * straight out of a waterfall or `muir.trace.v1` document.

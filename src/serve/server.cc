@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "support/parallel.hh"
 #include "support/strings.hh"
@@ -9,6 +10,27 @@
 
 namespace muir::serve
 {
+
+/** Indexes kResolutions, in the same order. */
+enum class Resolution : uint8_t
+{
+    Ok,
+    TooLarge,
+    BadRequest,
+    UnknownWorkload,
+    Design,
+    CheckFailed,
+    Internal,
+    InternalUnknown,
+    ShedQuota,
+    ShedQueue,
+    ShedDrain,
+    DeadlineAdmission,
+    DeadlineQueueWait,
+    DeadlineCycleBudget,
+    DeadlineExpired,
+    DeadlineDrain,
+};
 
 namespace
 {
@@ -27,6 +49,83 @@ latencyJson(const metrics::HistogramData *h)
                (unsigned long long)h->percentile(95),
                (unsigned long long)h->percentile(99),
                (unsigned long long)h->maxValue);
+}
+
+/** A reply kind's serve.<kind> counter, request.<kind> event and
+ *  trace outcome. */
+struct ReplyKind
+{
+    FrameKind frame;
+    const char *counter;
+    const char *event;
+    const char *outcome;
+};
+
+constexpr ReplyKind kOk{FrameKind::Ok, "serve.ok", "request.ok",
+                        trace::kOutcomeOk};
+constexpr ReplyKind kError{FrameKind::Error, "serve.error",
+                           "request.error", trace::kOutcomeError};
+constexpr ReplyKind kShed{FrameKind::Shed, "serve.shed", "request.shed",
+                          trace::kOutcomeShed};
+constexpr ReplyKind kDeadline{FrameKind::Deadline, "serve.deadline",
+                              "request.deadline",
+                              trace::kOutcomeDeadline};
+
+/** What a request.<kind> event carries after the code or reason. */
+enum class Event : uint8_t
+{
+    None,     ///< no event at all
+    Bare,     ///< nothing more
+    Workload, ///< the workload (an OK event adds its cycles)
+    Client,   ///< the client id
+    What,     ///< the exception's message
+};
+
+/**
+ * One way a RUN request ends. A SHED or DEADLINE reason also names
+ * the serve.<kind>.<reason> counter; an ERROR's reason is its code.
+ */
+struct ResolutionRow
+{
+    const ReplyKind *kind;
+    /** Null for OK, and for a design error (the design's code). */
+    const char *reason;
+    /** Refused before the queue: the admission span carries it. */
+    bool admission;
+    Event event;
+};
+
+using enum Event;
+
+/** Every RUN resolution, in STATS counter order. */
+constexpr ResolutionRow kResolutions[] = {
+    {&kOk, nullptr, false, Workload},
+    {&kError, kErrTooLarge, true, None},
+    {&kError, kErrBadRequest, true, None},
+    {&kError, kErrUnknownWorkload, true, Workload},
+    {&kError, nullptr, false, Workload},
+    {&kError, kErrCheckFailed, false, Workload},
+    {&kError, kErrInternal, false, What},
+    {&kError, kErrInternal, false, Bare},
+    {&kShed, "quota", true, Client},
+    {&kShed, "queue", true, Workload},
+    {&kShed, "drain", true, Workload},
+    {&kDeadline, "admission", true, Workload},
+    {&kDeadline, "queue-wait", false, Workload},
+    {&kDeadline, "cycle-budget", false, Workload},
+    {&kDeadline, "expired", false, Workload},
+    {&kDeadline, "drain", false, Workload},
+};
+static_assert(std::size(kResolutions) ==
+              size_t(Resolution::DeadlineDrain) + 1);
+
+/** The serve.<kind>.<reason> counter, or "" (OK and ERROR rows). */
+std::string
+reasonCounter(const ResolutionRow &row)
+{
+    if (row.kind != &kShed && row.kind != &kDeadline)
+        return {};
+    return std::string(row.kind->counter) + "." + row.reason;
 }
 
 } // namespace
@@ -183,6 +282,9 @@ Server::handleRun(const std::shared_ptr<Session> &session,
 {
     metrics_.add("serve.accepted");
     auto entry = std::chrono::steady_clock::now();
+    Job job;
+    job.session = session;
+    job.tag = frame.tag;
 
     // Admission control, cheapest checks first. Structural rejects
     // (size, syntax, unknown workload) come before quota/queue so a
@@ -190,155 +292,173 @@ Server::handleRun(const std::shared_ptr<Session> &session,
     // Size/syntax rejects stay untraced: a stamp inside an
     // unparseable payload cannot be honored.
     if (frame.payload.size() > options_.maxRequestBytes) {
-        sendError(session, frame.tag,
-                  ErrorReply{kErrTooLarge, 0,
-                             fmt("request payload is %zu bytes; the "
-                                 "admission cap is %zu",
-                                 frame.payload.size(),
-                                 options_.maxRequestBytes)});
+        resolve(job, Resolution::TooLarge, 0,
+                fmt("request payload is %zu bytes; the admission cap "
+                    "is %zu",
+                    frame.payload.size(), options_.maxRequestBytes));
         return;
     }
-    RunRequest req;
     std::string parse_error;
-    if (!parseRunRequest(frame.payload, req, &parse_error)) {
-        sendError(session, frame.tag,
-                  ErrorReply{kErrBadRequest, 0, parse_error});
+    if (!parseRunRequest(frame.payload, job.request, &parse_error)) {
+        resolve(job, Resolution::BadRequest, 0, parse_error);
         return;
     }
+    const RunRequest &req = job.request;
 
     // One trace per parsed request, anchored at dispatch entry so the
     // size/parse work above lands inside it. Null when tracing is off
     // and the client did not stamp — the no-overhead path.
-    std::shared_ptr<trace::ActiveTrace> t = tracer_.begin(
+    job.trace = tracer_.begin(
         "run " + req.workload +
             (req.passes.empty() ? std::string()
                                 : " passes=" + req.passes),
         req.traceId, entry);
-    uint64_t trace_id = t ? t->traceId() : 0;
-    uint64_t parse_end = t ? t->nowUs() : 0;
-    uint64_t validate_end = 0;
-    uint64_t quota_end = 0;
-
-    // Close the trace on an admission reject: the "admission" stage
-    // covers the whole request, with the ladder steps as children.
-    auto reject = [&](const char *outcome, const char *reason) {
-        if (!t)
-            return;
-        uint64_t now = t->nowUs();
-        uint64_t adm = t->add("admission", 0, 0, now);
-        t->add("parse", adm, 0, parse_end);
-        if (validate_end)
-            t->add("validate", adm, parse_end, validate_end);
-        if (quota_end)
-            t->add("quota", adm, validate_end, quota_end);
-        t->attr(adm, "reject", reason);
-        tracer_.finish(t, outcome, now);
-    };
+    const std::shared_ptr<trace::ActiveTrace> &t = job.trace;
+    if (t)
+        job.parseUs = t->nowUs();
 
     const auto &names = workloads::workloadNames();
     if (std::find(names.begin(), names.end(), req.workload) ==
         names.end()) {
-        reject(trace::kOutcomeError, kErrUnknownWorkload);
-        logEvent(slog::Level::Warn, "request.error", trace_id, 0,
-                 {{"code", kErrUnknownWorkload},
-                  {"workload", req.workload}});
-        sendError(session, frame.tag,
-                  ErrorReply{kErrUnknownWorkload, 0,
-                             fmt("unknown workload '%s'",
-                                 req.workload.c_str())});
+        resolve(job, Resolution::UnknownWorkload, 0,
+                fmt("unknown workload '%s'", req.workload.c_str()));
         return;
     }
     if (t)
-        validate_end = t->nowUs();
+        job.validateUs = t->nowUs();
 
     double now = nowSec();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (draining_ || stopping_) {
-            metrics_.add("serve.shed");
-            metrics_.add("serve.shed.drain");
-            reject(trace::kOutcomeShed, "drain");
-            logEvent(slog::Level::Warn, "request.shed", trace_id, 0,
-                     {{"reason", "drain"},
-                      {"workload", req.workload}});
-            send(session, FrameKind::Shed, frame.tag,
-                 renderShedReply({"drain", 0}));
+            resolve(job, Resolution::ShedDrain, 0);
             return;
         }
     }
     bool quota_ok = quota_.tryAcquire(session->clientId(), now);
     if (t)
-        quota_end = t->nowUs();
+        job.quotaUs = t->nowUs();
     if (!quota_ok) {
-        metrics_.add("serve.shed");
-        metrics_.add("serve.shed.quota");
-        reject(trace::kOutcomeShed, "quota");
-        logEvent(slog::Level::Warn, "request.shed", trace_id, 0,
-                 {{"reason", "quota"},
-                  {"client", session->clientId()}});
-        send(session, FrameKind::Shed, frame.tag,
-             renderShedReply(
-                 {"quota",
-                  quota_.retryAfterMs(session->clientId(), now)}));
+        resolve(job, Resolution::ShedQuota, 0, {},
+                quota_.retryAfterMs(session->clientId(), now));
         return;
     }
 
-    Job job;
-    job.session = session;
-    job.tag = frame.tag;
-    job.request = std::move(req);
     job.admitSec = now;
-    if (job.request.deadlineMs)
-        job.deadlineSec = now + double(job.request.deadlineMs) / 1000.0;
+    if (req.deadlineMs)
+        job.deadlineSec = now + double(req.deadlineMs) / 1000.0;
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (queue_.size() >= options_.queueCapacity) {
-            metrics_.add("serve.shed");
-            metrics_.add("serve.shed.queue");
-            reject(trace::kOutcomeShed, "queue");
-            logEvent(slog::Level::Warn, "request.shed", trace_id, 0,
-                     {{"reason", "queue"},
-                      {"workload", job.request.workload}});
-            send(session, FrameKind::Shed, frame.tag,
-                 renderShedReply({"queue", options_.retryAfterMs}));
+            resolve(job, Resolution::ShedQueue, 0, {},
+                    options_.retryAfterMs);
             return;
         }
         // Admission-time feasibility: a deadline shorter than one
         // typical service time can never be met — reject now instead
         // of burning a worker on a run we will throw away.
         if (job.deadlineSec > 0.0 && serviceEmaMs_ > 0.0 &&
-            double(job.request.deadlineMs) < serviceEmaMs_) {
-            metrics_.add("serve.deadline");
-            metrics_.add("serve.deadline.admission");
-            reject(trace::kOutcomeDeadline, "admission");
-            logEvent(slog::Level::Warn, "request.deadline", trace_id,
-                     0,
-                     {{"reason", "admission"},
-                      {"workload", job.request.workload}});
-            send(session, FrameKind::Deadline, frame.tag,
-                 renderDeadlineReply(
-                     {"admission",
-                      fmt("deadline %llums is infeasible: typical "
-                          "service time is ~%.1fms",
-                          (unsigned long long)job.request.deadlineMs,
-                          serviceEmaMs_)}));
+            double(req.deadlineMs) < serviceEmaMs_) {
+            resolve(job, Resolution::DeadlineAdmission, 0,
+                    fmt("deadline %llums is infeasible: typical "
+                        "service time is ~%.1fms",
+                        (unsigned long long)req.deadlineMs,
+                        serviceEmaMs_));
             return;
         }
         if (t) {
             // Admitted: seal the admission stage at this boundary so
             // "queue-wait" can start exactly where it ended.
             job.admitUs = t->nowUs();
-            uint64_t adm = t->add("admission", 0, 0, job.admitUs);
-            t->add("parse", adm, 0, parse_end);
-            t->add("validate", adm, parse_end, validate_end);
-            t->add("quota", adm, validate_end, quota_end);
-            job.trace = t;
+            admissionSpan(job, job.admitUs);
         }
         queue_.push_back(std::move(job));
         metrics_.gaugeMax("serve.queue_depth_peak", queue_.size());
     }
     workCv_.notify_one();
+}
+
+uint64_t
+Server::admissionSpan(const Job &job, uint64_t end_us)
+{
+    trace::ActiveTrace &t = *job.trace;
+    uint64_t adm = t.add("admission", 0, 0, end_us);
+    t.add("parse", adm, 0, job.parseUs);
+    if (job.validateUs)
+        t.add("validate", adm, job.parseUs, job.validateUs);
+    if (job.quotaUs)
+        t.add("quota", adm, job.validateUs, job.quotaUs);
+    return adm;
+}
+
+void
+Server::resolve(const Job &job, Resolution how, uint64_t end_us,
+                const std::string &text, uint64_t number,
+                const std::string &code)
+{
+    const ResolutionRow &row = kResolutions[size_t(how)];
+    const ReplyKind &kind = *row.kind;
+    const char *reason = row.reason ? row.reason : code.c_str();
+    metrics_.add(kind.counter);
+    std::string counter = reasonCounter(row);
+    if (!counter.empty())
+        metrics_.add(counter);
+
+    const std::shared_ptr<trace::ActiveTrace> &t = job.trace;
+    uint64_t trace_id = t ? t->traceId() : 0;
+    std::string stages;
+    if (t && row.admission) {
+        // A refusal closes the trace: the admission stage covers the
+        // whole request, with the ladder steps as children.
+        end_us = t->nowUs();
+        t->attr(admissionSpan(job, end_us), "reject", reason);
+    } else if (t && row.kind == &kDeadline) {
+        // The machine-greppable DEADLINE breakdown: stage durations
+        // from the same boundary stamps the stage spans use, so the
+        // line and the trace agree to the microsecond and sum to the
+        // total.
+        stages = fmt("\ntrace id=0x%016llx admission_us=%llu "
+                     "queue_us=%llu compile_us=%llu run_us=%llu",
+                     (unsigned long long)trace_id,
+                     (unsigned long long)job.admitUs,
+                     (unsigned long long)(job.claimUs - job.admitUs),
+                     (unsigned long long)(job.compileUs - job.claimUs),
+                     (unsigned long long)(end_us - job.compileUs));
+    }
+    tracer_.finish(t, kind.outcome, end_us);
+
+    if (log_ && row.event != None) {
+        std::vector<std::pair<std::string, std::string>> attrs;
+        if (row.kind != &kOk)
+            attrs.emplace_back(row.kind == &kError ? "code" : "reason",
+                               reason);
+        if (row.event == Workload)
+            attrs.emplace_back("workload", job.request.workload);
+        else if (row.event == Client)
+            attrs.emplace_back("client", job.session->clientId());
+        else if (row.event == What)
+            attrs.emplace_back("what", text);
+        if (row.kind == &kOk)
+            attrs.emplace_back("cycles",
+                               fmt("%llu", (unsigned long long)number));
+        bool internal = how == Resolution::Internal ||
+                        how == Resolution::InternalUnknown;
+        log_->event(row.kind == &kOk ? slog::Level::Info
+                    : internal       ? slog::Level::Error
+                                     : slog::Level::Warn,
+                    kind.event, trace_id, 0, std::move(attrs));
+    }
+
+    if (row.kind == &kOk)
+        send(job.session, kind.frame, job.tag, text);
+    else
+        send(job.session, kind.frame, job.tag,
+             row.kind == &kError
+                 ? renderErrorReply({reason, unsigned(number), text})
+             : row.kind == &kShed
+                 ? renderShedReply({reason, number})
+                 : renderDeadlineReply({reason, text + stages}));
 }
 
 void
@@ -389,23 +509,10 @@ Server::runJob(Job &&job)
 {
     double started = nowSec();
     const std::shared_ptr<trace::ActiveTrace> &t = job.trace;
-    uint64_t trace_id = t ? t->traceId() : 0;
-    uint64_t claim_us = t ? t->nowUs() : 0;
-    if (t)
-        t->add("queue-wait", 0, job.admitUs, claim_us);
-
-    // The machine-greppable DEADLINE breakdown: stage durations from
-    // the same boundary stamps the stage spans use, so the line and
-    // the trace agree to the microsecond and sum to the total.
-    auto stageLine = [&](uint64_t compile_end, uint64_t run_end) {
-        return fmt("\ntrace id=0x%016llx admission_us=%llu "
-                   "queue_us=%llu compile_us=%llu run_us=%llu",
-                   (unsigned long long)trace_id,
-                   (unsigned long long)job.admitUs,
-                   (unsigned long long)(claim_us - job.admitUs),
-                   (unsigned long long)(compile_end - claim_us),
-                   (unsigned long long)(run_end - compile_end));
-    };
+    if (t) {
+        job.claimUs = job.compileUs = t->nowUs();
+        t->add("queue-wait", 0, job.admitUs, job.claimUs);
+    }
 
     bool cancel_queued;
     {
@@ -415,55 +522,35 @@ Server::runJob(Job &&job)
     if (cancel_queued) {
         // Drain budget expired while this job sat in the queue. It
         // still resolves — as a deadline, never as silence.
-        metrics_.add("serve.deadline");
-        metrics_.add("serve.deadline.drain");
-        std::string detail = "daemon drained before the run started";
-        if (t)
-            detail += stageLine(claim_us, claim_us);
-        tracer_.finish(t, trace::kOutcomeDeadline, claim_us);
-        logEvent(slog::Level::Warn, "request.deadline", trace_id, 0,
-                 {{"reason", "drain"},
-                  {"workload", job.request.workload}});
-        send(job.session, FrameKind::Deadline, job.tag,
-             renderDeadlineReply({"drain", detail}));
+        resolve(job, Resolution::DeadlineDrain, job.claimUs,
+                "daemon drained before the run started");
         return;
     }
     if (job.deadlineSec > 0.0 && started >= job.deadlineSec) {
-        metrics_.add("serve.deadline");
-        metrics_.add("serve.deadline.queue-wait");
-        std::string detail =
-            fmt("deadline expired after %.1fms in the queue",
-                (started - job.admitSec) * 1000.0);
-        if (t)
-            detail += stageLine(claim_us, claim_us);
-        tracer_.finish(t, trace::kOutcomeDeadline, claim_us);
-        logEvent(slog::Level::Warn, "request.deadline", trace_id, 0,
-                 {{"reason", "queue-wait"},
-                  {"workload", job.request.workload}});
-        send(job.session, FrameKind::Deadline, job.tag,
-             renderDeadlineReply({"queue-wait", detail}));
+        resolve(job, Resolution::DeadlineQueueWait, job.claimUs,
+                fmt("deadline expired after %.1fms in the queue",
+                    (started - job.admitSec) * 1000.0));
         return;
     }
 
     try {
         uint64_t compile_span =
-            t ? t->add("compile", 0, claim_us, claim_us) : 0;
+            t ? t->add("compile", 0, job.claimUs, job.claimUs) : 0;
         auto design =
             cache_.lookup(job.request, t.get(), compile_span);
-        uint64_t compile_us = t ? t->nowUs() : 0;
-        if (t)
-            t->close(compile_span, compile_us);
+        if (t) {
+            job.compileUs = t->nowUs();
+            t->close(compile_span, job.compileUs);
+        }
         if (!design->ok()) {
-            tracer_.finish(t, trace::kOutcomeError, compile_us);
-            logEvent(slog::Level::Warn, "request.error", trace_id, 0,
-                     {{"code", design->error.code},
-                      {"workload", job.request.workload}});
-            sendError(job.session, job.tag, design->error);
+            resolve(job, Resolution::Design, job.compileUs,
+                    design->error.message, design->error.line,
+                    design->error.code);
             return;
         }
 
         uint64_t run_span =
-            t ? t->add("run", 0, compile_us, compile_us) : 0;
+            t ? t->add("run", 0, job.compileUs, job.compileUs) : 0;
         if (options_.allowWorkDelay && job.request.workDelayMs) {
             trace::ScopedSpan delay_span(t, "work-delay", run_span);
             uint64_t delay =
@@ -524,69 +611,32 @@ Server::runJob(Job &&job)
             // The PR-3 watchdog is the in-flight cancellation path: a
             // run past its cycle budget stops deterministically and
             // reports why, instead of wedging a worker forever.
-            metrics_.add("serve.deadline");
-            metrics_.add("serve.deadline.cycle-budget");
-            std::string detail = result.hang.render();
-            if (t) {
+            if (t)
                 t->attr(run_span, "watchdog", "tripped");
-                detail += stageLine(compile_us, end_us);
-            }
-            tracer_.finish(t, trace::kOutcomeDeadline, end_us);
-            logEvent(slog::Level::Warn, "request.deadline", trace_id,
-                     0,
-                     {{"reason", "cycle-budget"},
-                      {"workload", job.request.workload}});
-            send(job.session, FrameKind::Deadline, job.tag,
-                 renderDeadlineReply({"cycle-budget", detail}));
+            resolve(job, Resolution::DeadlineCycleBudget, end_us,
+                    result.hang.render());
             return;
         }
         if (!result.check.empty()) {
-            tracer_.finish(t, trace::kOutcomeError, end_us);
-            logEvent(slog::Level::Warn, "request.error", trace_id, 0,
-                     {{"code", kErrCheckFailed},
-                      {"workload", job.request.workload}});
-            sendError(job.session, job.tag,
-                      ErrorReply{kErrCheckFailed, 0, result.check});
+            resolve(job, Resolution::CheckFailed, end_us, result.check);
             return;
         }
         if (job.deadlineSec > 0.0 && finished >= job.deadlineSec) {
-            metrics_.add("serve.deadline");
-            metrics_.add("serve.deadline.expired");
-            std::string detail =
-                fmt("run finished %.1fms past the deadline",
-                    (finished - job.deadlineSec) * 1000.0);
-            if (t)
-                detail += stageLine(compile_us, end_us);
-            tracer_.finish(t, trace::kOutcomeDeadline, end_us);
-            logEvent(slog::Level::Warn, "request.deadline", trace_id,
-                     0,
-                     {{"reason", "expired"},
-                      {"workload", job.request.workload}});
-            send(job.session, FrameKind::Deadline, job.tag,
-                 renderDeadlineReply({"expired", detail}));
+            resolve(job, Resolution::DeadlineExpired, end_us,
+                    fmt("run finished %.1fms past the deadline",
+                        (finished - job.deadlineSec) * 1000.0));
             return;
         }
-        metrics_.add("serve.ok");
-        tracer_.finish(t, trace::kOutcomeOk, end_us);
-        logEvent(slog::Level::Info, "request.ok", trace_id, 0,
-                 {{"workload", job.request.workload},
-                  {"cycles",
-                   fmt("%llu", (unsigned long long)result.cycles)}});
-        send(job.session, FrameKind::Ok, job.tag,
-             memo ? design->okReply : canonicalResult(result));
+        std::string replayed;
+        if (!memo)
+            replayed = canonicalResult(result);
+        resolve(job, Resolution::Ok, end_us,
+                memo ? design->okReply : replayed, result.cycles);
     } catch (const std::exception &e) {
-        tracer_.finish(t, trace::kOutcomeError);
-        logEvent(slog::Level::Error, "request.error", trace_id, 0,
-                 {{"code", kErrInternal}, {"what", e.what()}});
-        sendError(job.session, job.tag,
-                  ErrorReply{kErrInternal, 0, e.what()});
+        resolve(job, Resolution::Internal, 0, e.what());
     } catch (...) {
-        tracer_.finish(t, trace::kOutcomeError);
-        logEvent(slog::Level::Error, "request.error", trace_id, 0,
-                 {{"code", kErrInternal}});
-        sendError(job.session, job.tag,
-                  ErrorReply{kErrInternal, 0,
-                             "unexpected exception during run"});
+        resolve(job, Resolution::InternalUnknown, 0,
+                "unexpected exception during run");
     }
 }
 
@@ -689,18 +739,20 @@ Server::statsJson() const
     out += fmt("\"in_flight\":%u,", in_flight);
     out += fmt("\"queue_depth_peak\":%llu,",
                (unsigned long long)snap.gauge("serve.queue_depth_peak"));
-    const char *counters[] = {
-        "serve.accepted",        "serve.ok",
-        "serve.error",           "serve.shed",
-        "serve.shed.quota",      "serve.shed.queue",
-        "serve.shed.drain",      "serve.deadline",
-        "serve.deadline.admission", "serve.deadline.queue-wait",
-        "serve.deadline.cycle-budget", "serve.deadline.expired",
-        "serve.deadline.drain",  "serve.bad_frames",
-    };
-    for (const char *name : counters)
-        out += fmt("\"%s\":%llu,", name,
+    auto counter = [&](const std::string &name) {
+        out += fmt("\"%s\":%llu,", name.c_str(),
                    (unsigned long long)snap.counter(name));
+    };
+    counter("serve.accepted");
+    for (size_t i = 0; i < std::size(kResolutions); ++i) {
+        const ResolutionRow &row = kResolutions[i];
+        if (i == 0 || row.kind != kResolutions[i - 1].kind)
+            counter(row.kind->counter);
+        std::string reason = reasonCounter(row);
+        if (!reason.empty())
+            counter(reason);
+    }
+    counter("serve.bad_frames");
     out += fmt("\"cache_hits\":%llu,",
                (unsigned long long)cache_.hits());
     out += fmt("\"cache_misses\":%llu,",

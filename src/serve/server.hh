@@ -48,6 +48,9 @@
 namespace muir::serve
 {
 
+/** Every way a RUN request ends (the table in server.cc). */
+enum class Resolution : uint8_t;
+
 /** Daemon tuning knobs (all have safe defaults). */
 struct ServerOptions
 {
@@ -178,9 +181,7 @@ class Server
     trace::Tracer &tracer() { return tracer_; }
     const trace::Tracer &tracer() const { return tracer_; }
 
-    /** The serve.* metrics registry (counters/latency histogram).
-     *  Installable as the process µmeter sink so the pool and sim
-     *  instruments land in the same STATS snapshot. */
+    /** The serve.* metrics registry (counters/latency histogram). */
     metrics::Registry &registry() { return metrics_; }
     const metrics::Registry &registry() const { return metrics_; }
 
@@ -197,8 +198,16 @@ class Server
         double admitSec = 0.0;
         /** The request's trace (null = untraced). */
         std::shared_ptr<trace::ActiveTrace> trace;
-        /** Admission-stage end boundary (µs on the trace's clock). */
+        /** @name Stage boundaries (µs on the trace's clock; 0 = not
+         *  reached or untraced)
+         *  @{ */
+        uint64_t parseUs = 0;
+        uint64_t validateUs = 0;
+        uint64_t quotaUs = 0;
         uint64_t admitUs = 0;
+        uint64_t claimUs = 0;
+        uint64_t compileUs = 0;
+        /** @} */
     };
 
     void workerLoop();
@@ -209,6 +218,19 @@ class Server
                    const Frame &frame);
     void handleTrace(const std::shared_ptr<Session> &session,
                      const Frame &frame);
+    /**
+     * End @p job the way @p how says: bump its serve.* counters,
+     * finish its trace at @p end_us, log its request.* event and send
+     * its reply frame. @p text is the ERROR message, the DEADLINE
+     * detail or the OK payload; @p number is the ERROR line, the SHED
+     * retry_after_ms or the OK cycles; @p code is a design's ERROR
+     * code (Resolution::Design only).
+     */
+    void resolve(const Job &job, Resolution how, uint64_t end_us,
+                 const std::string &text = {}, uint64_t number = 0,
+                 const std::string &code = {});
+    /** Record the admission span and its ladder steps up to @p end_us. */
+    static uint64_t admissionSpan(const Job &job, uint64_t end_us);
     /** Forward to the logger when one is configured. */
     void logEvent(slog::Level level, const char *event,
                   uint64_t trace_id, uint64_t span_id,

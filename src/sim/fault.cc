@@ -58,24 +58,6 @@ namespace
 /** Most DramTimeout attempts a plan may ask for (the backoff doubles). */
 constexpr unsigned kMaxDramAttempts = 16;
 
-/** Strict decimal uint64 parse (rejects junk, signs, overflow). */
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        if (v > (~uint64_t(0) - (c - '0')) / 10)
-            return false;
-        v = v * 10 + (c - '0');
-    }
-    out = v;
-    return true;
-}
-
 std::string
 validKindNames()
 {

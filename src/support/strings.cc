@@ -111,4 +111,43 @@ csvQuote(const std::string &field)
     return out;
 }
 
+bool
+parseU64(const std::string &text, uint64_t &out)
+{
+    if (text.empty())
+        return false;
+    uint64_t v = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        uint64_t digit = uint64_t(c - '0');
+        if (v > (~uint64_t(0) - digit) / 10)
+            return false;
+        v = v * 10 + digit;
+    }
+    out = v;
+    return true;
+}
+
+bool
+parsePositive(const std::string &text, unsigned &out)
+{
+    uint64_t v = 0;
+    if (!parseU64(text, v) || v == 0 || v > (1u << 20))
+        return false;
+    out = unsigned(v);
+    return true;
+}
+
+uint64_t
+fnv1a64(const std::string &bytes)
+{
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001B3ull;
+    }
+    return h;
+}
+
 } // namespace muir

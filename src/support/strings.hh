@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -70,5 +71,18 @@ std::string padRight(const std::string &s, size_t width);
  * embedded quotes doubled; anything else passes through unchanged.
  */
 std::string csvQuote(const std::string &field);
+
+/**
+ * Strict decimal parse: ASCII digits only (no sign, space or base
+ * prefix) with no overflow. @return false and leave @p out alone on
+ * anything else, so junk is an error rather than a silent zero.
+ */
+bool parseU64(const std::string &text, uint64_t &out);
+
+/** parseU64 of a count in [1, 2^20] (unroll factors, tiles, runs). */
+bool parsePositive(const std::string &text, unsigned &out);
+
+/** FNV-1a over a byte string: the same 64-bit hash on every platform. */
+uint64_t fnv1a64(const std::string &bytes);
 
 } // namespace muir

@@ -243,12 +243,16 @@ class Tracer
 class ScopedSpan
 {
   public:
-    ScopedSpan(const std::shared_ptr<ActiveTrace> &t, const char *name,
-               uint64_t parent = 0)
-        : trace_(t.get())
+    ScopedSpan(ActiveTrace *t, const char *name, uint64_t parent = 0)
+        : trace_(t)
     {
         if (trace_)
             id_ = trace_->begin(name, parent);
+    }
+    ScopedSpan(const std::shared_ptr<ActiveTrace> &t, const char *name,
+               uint64_t parent = 0)
+        : ScopedSpan(t.get(), name, parent)
+    {
     }
     ~ScopedSpan()
     {

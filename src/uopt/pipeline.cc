@@ -1,10 +1,9 @@
 #include "uopt/pipeline.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "support/strings.hh"
 #include "uopt/passes.hh"
 
 namespace muir::uopt
@@ -27,21 +26,6 @@ splitSpec(const std::string &text, char sep)
         parts.push_back(text.substr(pos, next - pos));
         pos = next + 1;
     }
-}
-
-bool
-parsePositive(const std::string &text, unsigned &out)
-{
-    if (text.empty() || text[0] == '-' || text[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' || v == 0 ||
-        v > 1u << 20)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
 }
 
 bool

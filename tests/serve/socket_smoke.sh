@@ -63,6 +63,22 @@ for stage in admission queue-wait compile run; do
 done
 grep -q "#" "$TMP/run.out" || fail "waterfall has no bars"
 
+# Calls with one --seed stamp one trace id, so the ring holds every
+# earlier request with it. Two traced runs of one design with the
+# default seed must each print one waterfall, their own: the first
+# compiles the design (cache=miss), the second hits it.
+for n in 1 2; do
+    "$CLIENT" --socket "$SOCK" --trace run workload=fib \
+        > "$TMP/again$n.out" || fail "traced run $n failed"
+    count=$(grep -c "^trace [0-9a-f]\{16\} " "$TMP/again$n.out")
+    [ "$count" -eq 1 ] \
+        || fail "traced run $n printed $count waterfalls, want 1"
+done
+grep -q "cache=miss" "$TMP/again1.out" \
+    || fail "first default-seed run is not the design's miss"
+grep -q "cache=hit" "$TMP/again2.out" \
+    || fail "second default-seed run did not print its own (hit) trace"
+
 # The TRACE document itself: one line of muir.trace.v1 JSON.
 "$CLIENT" --socket "$SOCK" trace > "$TMP/trace.out" \
     || fail "trace fetch failed"

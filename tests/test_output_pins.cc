@@ -42,17 +42,6 @@ namespace muir
 namespace
 {
 
-uint64_t
-fnv1a(const std::string &text)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 const std::map<std::string, uint64_t> &
 pinnedHashes()
 {
@@ -200,7 +189,7 @@ pinnedHashes()
 void
 expectPinned(const std::string &key, const std::string &text)
 {
-    uint64_t h = fnv1a(text);
+    uint64_t h = fnv1a64(text);
     char captured[96];
     std::snprintf(captured, sizeof captured,
                   "{\"%s\", 0x%016" PRIx64 "ull},", key.c_str(), h);

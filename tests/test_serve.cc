@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cctype>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -1096,6 +1098,302 @@ TEST(ServeServer, StatsReplyHasTheStableSchema)
           "latency",
           "p99_us"})
         EXPECT_NE(reply.payload.find(key), std::string::npos) << key;
+}
+
+// --------------------------------------------------- resolution table
+
+/** One expected reply: its kind and its code or reason ("" for OK). */
+struct Resolved
+{
+    FrameKind kind;
+    std::string reason;
+};
+
+/** Sends one case's RUN frames, tags 1, 2, ... in order. */
+struct RequestFeeder
+{
+    /** Stamped trace id of the request with tag @p tag. */
+    static uint64_t traceIdOf(uint32_t tag) { return 0x7000 + tag; }
+
+    Server &server;
+    TestClient &client;
+    uint32_t tag = 0;
+
+    void
+    raw(const std::string &payload)
+    {
+        ++tag;
+        ASSERT_TRUE(server.feed(client.session,
+                                encodeFrame(FrameKind::Run, tag, payload)));
+    }
+
+    void
+    run(RunRequest req)
+    {
+        req.traceId = traceIdOf(tag + 1);
+        raw(renderRunRequest(req));
+    }
+
+    void
+    waitInFlight()
+    {
+        for (int spin = 0; spin < 2000 && server.inFlight() == 0; ++spin)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(server.inFlight(), 1u);
+    }
+};
+
+/** A RUN resolution driven end to end; the last request sent is the
+ *  one under test, the ones before it set the scene. */
+struct ResolutionCase
+{
+    const char *name;
+    ServerOptions options;
+    std::function<void(RequestFeeder &)> drive;
+    /** Every reply, by tag. */
+    std::vector<Resolved> replies;
+    /** The last request's request.<kind> event attributes; empty for
+     *  a payload refused before parsing (no trace, no event). */
+    std::vector<std::pair<std::string, std::string>> attrs;
+};
+
+/** "ok", "error", "shed" or "deadline": the serve.<kind> counter's
+ *  and the request.<kind> event's kind. */
+std::string
+lowerKind(FrameKind kind)
+{
+    std::string name = frameKindName(kind);
+    for (char &ch : name)
+        ch = char(std::tolower(ch));
+    return name;
+}
+
+RunRequest
+runOf(const std::string &workload)
+{
+    RunRequest req;
+    req.workload = workload;
+    return req;
+}
+
+TEST(ServeServer, EveryReachableResolutionRepliesCountsTracesAndLogs)
+{
+    // One table row per way a RUN ends. The two internal-error catches
+    // (an exception escaping the compile or the run) have no trigger a
+    // test can reach and are not driven here.
+    const std::string fib_cycles =
+        fmt("%llu",
+            (unsigned long long)DesignCache(1).lookup(runOf("fib"))->cycles);
+    RunRequest wrong = runOf("saxpy");
+    wrong.graph = replaceAll(
+        uir::serialize(*workloads::lowerBaseline(
+            workloads::buildWorkload("saxpy"))),
+        "fval=2.5", "fval=3.5");
+    ASSERT_NE(wrong.graph.find("fval=3.5"), std::string::npos);
+
+    ServerOptions slow_one;
+    slow_one.jobs = 1;
+    slow_one.queueCapacity = 1;
+    slow_one.allowWorkDelay = true;
+    RunRequest stall = runOf("fib");
+    stall.workDelayMs = 200;
+    ServerOptions tiny;
+    tiny.maxRequestBytes = 8;
+    ServerOptions stingy;
+    stingy.quotaRate = 0.5;
+    stingy.quotaBurst = 1.0;
+
+    const std::vector<ResolutionCase> cases = {
+        {"ok", {}, [](RequestFeeder &d) { d.run(runOf("fib")); },
+         {{FrameKind::Ok, ""}},
+         {{"workload", "fib"}, {"cycles", fib_cycles}}},
+        {"too-large", tiny,
+         [](RequestFeeder &d) { d.raw(renderRunRequest(runOf("fib"))); },
+         {{FrameKind::Error, kErrTooLarge}},
+         {}},
+        {"bad-request", {},
+         [](RequestFeeder &d) { d.raw("not a run line"); },
+         {{FrameKind::Error, kErrBadRequest}},
+         {}},
+        {"unknown-workload", {},
+         [](RequestFeeder &d) { d.run(runOf("nosuchworkload")); },
+         {{FrameKind::Error, kErrUnknownWorkload}},
+         {{"code", kErrUnknownWorkload}, {"workload", "nosuchworkload"}}},
+        {"design", {},
+         [](RequestFeeder &d) {
+             RunRequest req = runOf("fib");
+             req.passes = "nosuchpass";
+             d.run(req);
+         },
+         {{FrameKind::Error, kErrPipeline}},
+         {{"code", kErrPipeline}, {"workload", "fib"}}},
+        {"check-failed", {},
+         [&](RequestFeeder &d) { d.run(wrong); },
+         {{FrameKind::Error, kErrCheckFailed}},
+         {{"code", kErrCheckFailed}, {"workload", "saxpy"}}},
+        {"shed-quota", stingy,
+         [](RequestFeeder &d) {
+             d.run(runOf("fib"));
+             d.run(runOf("fib"));
+         },
+         {{FrameKind::Ok, ""}, {FrameKind::Shed, "quota"}},
+         {{"reason", "quota"}, {"client", "c"}}},
+        {"shed-queue", slow_one,
+         [&](RequestFeeder &d) {
+             d.run(stall);
+             d.waitInFlight();
+             d.run(runOf("fib"));
+             d.run(runOf("fib"));
+         },
+         {{FrameKind::Ok, ""},
+          {FrameKind::Ok, ""},
+          {FrameKind::Shed, "queue"}},
+         {{"reason", "queue"}, {"workload", "fib"}}},
+        {"shed-drain", {},
+         [](RequestFeeder &d) {
+             d.server.beginDrain();
+             d.run(runOf("fib"));
+         },
+         {{FrameKind::Shed, "drain"}},
+         {{"reason", "drain"}, {"workload", "fib"}}},
+        {"deadline-admission", slow_one,
+         [&](RequestFeeder &d) {
+             d.run(stall);
+             ASSERT_TRUE(d.client.waitForReplies(1));
+             RunRequest dated = runOf("fib");
+             dated.deadlineMs = 1;
+             d.run(dated);
+         },
+         {{FrameKind::Ok, ""}, {FrameKind::Deadline, "admission"}},
+         {{"reason", "admission"}, {"workload", "fib"}}},
+        {"deadline-queue-wait", slow_one,
+         [&](RequestFeeder &d) {
+             d.run(stall);
+             d.waitInFlight();
+             RunRequest dated = runOf("fib");
+             dated.deadlineMs = 1;
+             d.run(dated);
+         },
+         {{FrameKind::Ok, ""}, {FrameKind::Deadline, "queue-wait"}},
+         {{"reason", "queue-wait"}, {"workload", "fib"}}},
+        {"deadline-cycle-budget", {},
+         [](RequestFeeder &d) {
+             RunRequest req = runOf("gemm");
+             req.maxCycles = 10;
+             d.run(req);
+         },
+         {{FrameKind::Deadline, "cycle-budget"}},
+         {{"reason", "cycle-budget"}, {"workload", "gemm"}}},
+        {"deadline-expired", slow_one,
+         [&](RequestFeeder &d) {
+             RunRequest late = stall;
+             late.deadlineMs = 50;
+             d.run(late);
+         },
+         {{FrameKind::Deadline, "expired"}},
+         {{"reason", "expired"}, {"workload", "fib"}}},
+        {"deadline-drain", slow_one,
+         [&](RequestFeeder &d) {
+             d.run(stall);
+             d.waitInFlight();
+             d.run(runOf("fib"));
+             EXPECT_FALSE(d.server.drain(1));
+         },
+         {{FrameKind::Ok, ""}, {FrameKind::Deadline, "drain"}},
+         {{"reason", "drain"}, {"workload", "fib"}}},
+    };
+
+    const char *counters[] = {
+        "serve.ok",         "serve.error",
+        "serve.shed",       "serve.shed.quota",
+        "serve.shed.queue", "serve.shed.drain",
+        "serve.deadline",   "serve.deadline.admission",
+        "serve.deadline.queue-wait", "serve.deadline.cycle-budget",
+        "serve.deadline.expired",    "serve.deadline.drain",
+    };
+    for (const ResolutionCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        slog::Logger logger;
+        ServerOptions options = c.options;
+        options.logger = &logger;
+        Server server(options);
+        TestClient client;
+        client.attach(server, "c");
+        RequestFeeder feeder{server, client};
+        c.drive(feeder);
+        ASSERT_EQ(feeder.tag, c.replies.size());
+        ASSERT_TRUE(client.waitForReplies(c.replies.size()));
+        server.drain(10000);
+        server.stop();
+
+        // The reply frames, by tag.
+        std::map<std::string, uint64_t> want;
+        for (size_t i = 0; i < c.replies.size(); ++i) {
+            Frame reply = client.reply(i);
+            ASSERT_LE(reply.tag, c.replies.size());
+            const Resolved &r = c.replies[reply.tag - 1];
+            ASSERT_EQ(reply.kindEnum(), r.kind) << reply.payload;
+            std::string reason;
+            ErrorReply err;
+            ShedReply shed;
+            DeadlineReply dl;
+            if (r.kind == FrameKind::Error &&
+                parseErrorReply(reply.payload, err))
+                reason = err.code;
+            if (r.kind == FrameKind::Shed &&
+                parseShedReply(reply.payload, shed))
+                reason = shed.reason;
+            if (r.kind == FrameKind::Deadline &&
+                parseDeadlineReply(reply.payload, dl))
+                reason = dl.reason;
+            EXPECT_EQ(reason, r.reason) << reply.payload;
+
+            std::string kind = lowerKind(r.kind);
+            ++want["serve." + kind];
+            if (r.kind == FrameKind::Shed || r.kind == FrameKind::Deadline)
+                ++want["serve." + kind + "." + r.reason];
+        }
+
+        // The counters: one serve.<kind> bump per reply, plus the
+        // serve.<kind>.<reason> bump of each SHED and DEADLINE.
+        metrics::Snapshot snap = server.registry().snapshot();
+        EXPECT_EQ(snap.counter("serve.accepted"), c.replies.size());
+        for (const char *name : counters)
+            EXPECT_EQ(snap.counter(name), want[name]) << name;
+
+        // The trace outcome (the vocabulary mirrors the reply kinds).
+        const Resolved &last = c.replies.back();
+        auto traces =
+            server.tracer().recent(0, RequestFeeder::traceIdOf(feeder.tag));
+        if (c.attrs.empty()) {
+            EXPECT_EQ(server.tracer().started(), 0u);
+        } else {
+            ASSERT_EQ(traces.size(), 1u);
+            EXPECT_EQ(traces[0]->outcome, frameKindName(last.kind));
+        }
+
+        // The slog event: every reply but an unparsed one writes one.
+        size_t request_events = 0;
+        const slog::Record *mine = nullptr;
+        const std::vector<slog::Record> records = logger.recent();
+        for (const slog::Record &rec : records) {
+            if (!startsWith(rec.event, "request."))
+                continue;
+            ++request_events;
+            if (rec.traceId == RequestFeeder::traceIdOf(feeder.tag))
+                mine = &rec;
+        }
+        EXPECT_EQ(request_events,
+                  c.replies.size() - (c.attrs.empty() ? 1 : 0));
+        if (c.attrs.empty())
+            continue;
+        ASSERT_NE(mine, nullptr);
+        EXPECT_EQ(mine->event, "request." + lowerKind(last.kind));
+        EXPECT_EQ(mine->level, last.kind == FrameKind::Ok
+                                   ? slog::Level::Info
+                                   : slog::Level::Warn);
+        EXPECT_EQ(mine->attrs, c.attrs);
+    }
 }
 
 // ------------------------------------------------------ µtrace in vivo

@@ -269,7 +269,9 @@ decodeMode()
 
 /**
  * Fetch the stamped trace over the live connection and render the
- * waterfall. Failures are reported but never change the run's exit
+ * waterfall. Every call with the same --seed stamps the same id, so
+ * the ring can hold earlier requests with it: only the newest is
+ * this run's. Failures are reported but never change the run's exit
  * code — tracing is observability, not the request.
  */
 void
@@ -277,6 +279,7 @@ fetchAndRenderTrace(serve::Client &client, uint64_t trace_id)
 {
     serve::TraceRequest treq;
     treq.id = trace_id;
+    treq.limit = 1;
     serve::CallOutcome outcome = client.call(
         serve::FrameKind::Trace, serve::renderTraceRequest(treq));
     if (!outcome.transportOk ||
@@ -295,13 +298,13 @@ fetchAndRenderTrace(serve::Client &client, uint64_t trace_id)
                      error.c_str());
         return;
     }
-    bool found = false;
+    const trace::TraceData *newest = nullptr;
     for (const trace::TraceData &t : traces)
-        if (t.traceId == trace_id) {
-            std::fputs(trace::renderWaterfall(t).c_str(), stdout);
-            found = true;
-        }
-    if (!found)
+        if (t.traceId == trace_id)
+            newest = &t;
+    if (newest)
+        std::fputs(trace::renderWaterfall(*newest).c_str(), stdout);
+    else
         std::fprintf(stderr,
                      "muir-client: trace %016llx not retained "
                      "(ring evicted it?)\n",
@@ -416,15 +419,26 @@ main(int argc, char **argv)
             encode_script = next("--encode");
         } else if (arg == "--decode") {
             decode = true;
-        } else if (arg == "--retries") {
-            policy.maxAttempts =
-                unsigned(std::atoi(next("--retries")));
-        } else if (arg == "--base-ms") {
-            policy.baseMs = uint64_t(std::atoll(next("--base-ms")));
-        } else if (arg == "--cap-ms") {
-            policy.capMs = uint64_t(std::atoll(next("--cap-ms")));
-        } else if (arg == "--seed") {
-            policy.seed = uint64_t(std::atoll(next("--seed")));
+        } else if (arg == "--retries" || arg == "--base-ms" ||
+                   arg == "--cap-ms" || arg == "--seed") {
+            const char *v = next(arg.c_str());
+            uint64_t n = 0;
+            if (!parseU64(v, n) ||
+                (arg == "--retries" && n > ~0u)) {
+                std::fprintf(stderr,
+                             "muir-client: %s '%s' is not an unsigned "
+                             "integer\n",
+                             arg.c_str(), v);
+                return 2;
+            }
+            if (arg == "--retries")
+                policy.maxAttempts = unsigned(n);
+            else if (arg == "--base-ms")
+                policy.baseMs = n;
+            else if (arg == "--cap-ms")
+                policy.capMs = n;
+            else
+                policy.seed = n;
         } else if (arg == "--trace") {
             want_trace = true;
         } else if (startsWith(arg, "--")) {

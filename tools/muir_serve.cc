@@ -32,6 +32,7 @@
 #include "serve/server.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
+#include "support/strings.hh"
 
 using namespace muir;
 
@@ -84,24 +85,6 @@ usage(FILE *out)
         "\n"
         "exit codes: 0 clean exit  1 runtime failure  2 usage error\n",
         out);
-}
-
-bool
-parseU64Arg(const char *text, uint64_t &out)
-{
-    if (!text || !*text)
-        return false;
-    uint64_t v = 0;
-    for (const char *p = text; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        uint64_t digit = uint64_t(*p - '0');
-        if (v > (~uint64_t(0) - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
 }
 
 /** Flush the final stats snapshot (SIGTERM/EOF path). */
@@ -313,14 +296,14 @@ main(int argc, char **argv)
         } else if (arg == "--allow-work-delay") {
             options.allowWorkDelay = true;
         } else if (arg == "--jobs") {
-            if (!parseU64Arg(next("--jobs"), v) || v == 0 || v > 256) {
+            if (!parseU64(next("--jobs"), v) || v == 0 || v > 256) {
                 std::fprintf(stderr,
                              "muir-serve: --jobs must be 1..256\n");
                 return 2;
             }
             options.jobs = unsigned(v);
         } else if (arg == "--queue-capacity") {
-            if (!parseU64Arg(next("--queue-capacity"), v) || v == 0) {
+            if (!parseU64(next("--queue-capacity"), v) || v == 0) {
                 std::fprintf(stderr, "muir-serve: --queue-capacity "
                                      "must be a positive integer\n");
                 return 2;
@@ -341,28 +324,28 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--max-cycles") {
-            if (!parseU64Arg(next("--max-cycles"), v) || v == 0) {
+            if (!parseU64(next("--max-cycles"), v) || v == 0) {
                 std::fprintf(stderr, "muir-serve: --max-cycles must "
                                      "be a positive integer\n");
                 return 2;
             }
             options.defaultMaxCycles = v;
         } else if (arg == "--drain-budget-ms") {
-            if (!parseU64Arg(next("--drain-budget-ms"),
+            if (!parseU64(next("--drain-budget-ms"),
                              drain_budget_ms)) {
                 std::fprintf(stderr, "muir-serve: --drain-budget-ms "
                                      "must be an integer\n");
                 return 2;
             }
         } else if (arg == "--retry-after-ms") {
-            if (!parseU64Arg(next("--retry-after-ms"),
+            if (!parseU64(next("--retry-after-ms"),
                              options.retryAfterMs)) {
                 std::fprintf(stderr, "muir-serve: --retry-after-ms "
                                      "must be an integer\n");
                 return 2;
             }
         } else if (arg == "--cache-capacity") {
-            if (!parseU64Arg(next("--cache-capacity"), v) || v == 0) {
+            if (!parseU64(next("--cache-capacity"), v) || v == 0) {
                 std::fprintf(stderr, "muir-serve: --cache-capacity "
                                      "must be a positive integer\n");
                 return 2;
@@ -380,21 +363,21 @@ main(int argc, char **argv)
             }
             options.traceSampleRate = rate;
         } else if (arg == "--trace-seed") {
-            if (!parseU64Arg(next("--trace-seed"),
+            if (!parseU64(next("--trace-seed"),
                              options.traceSeed)) {
                 std::fprintf(stderr, "muir-serve: --trace-seed must "
                                      "be an integer\n");
                 return 2;
             }
         } else if (arg == "--slow-ms") {
-            if (!parseU64Arg(next("--slow-ms"), v)) {
+            if (!parseU64(next("--slow-ms"), v)) {
                 std::fprintf(stderr, "muir-serve: --slow-ms must be "
                                      "an integer\n");
                 return 2;
             }
             options.traceSlowUs = v * 1000;
         } else if (arg == "--trace-ring") {
-            if (!parseU64Arg(next("--trace-ring"), v) || v == 0) {
+            if (!parseU64(next("--trace-ring"), v) || v == 0) {
                 std::fprintf(stderr, "muir-serve: --trace-ring must "
                                      "be a positive integer\n");
                 return 2;
@@ -449,13 +432,10 @@ main(int argc, char **argv)
     }
 
     serve::Server server(options);
-    // Route the simulator/pool µmeter instruments into the same
-    // registry STATS reports, so a snapshot shows the whole picture.
-    metrics::ScopedSink sink(&server.registry());
     int rc = stdio ? serveStdio(server, drain_budget_ms, stats_path)
                    : serveSocket(server, socket_path, drain_budget_ms,
                                  stats_path);
-    server.stop(); // workers down before the logger/sink go away
+    server.stop(); // workers down before the logger goes away
     if (log_sink && log_sink != stderr)
         std::fclose(log_sink);
     return rc;

@@ -14,7 +14,6 @@
  * fusion[:budget_x100], tensor.
  */
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -132,40 +131,6 @@ usage()
         "     or unreadable input file\n"
         "  3  watchdog: the --max-cycles budget was exceeded or the\n"
         "     deadlock watchdog tripped (root-cause dump on stderr)\n");
-}
-
-/**
- * Strict positive-integer parse: rejects junk, signs, empty strings,
- * zero, and overflow instead of silently becoming a default.
- */
-bool
-parsePositive(const std::string &text, unsigned &out)
-{
-    if (text.empty() || text[0] == '-' || text[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' || v == 0 ||
-        v > 1u << 20)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
-}
-
-/** Strict uint64 parse for seeds/budgets (no 1<<20 cap). */
-bool
-parseU64Arg(const std::string &text, uint64_t &out)
-{
-    if (text.empty() || text[0] == '-' || text[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
 }
 
 bool
@@ -308,7 +273,7 @@ main(int argc, char **argv)
             }
         } else if (arg == "--seed") {
             const char *v = next();
-            if (!parseU64Arg(v, campaign_seed)) {
+            if (!parseU64(v, campaign_seed)) {
                 std::fprintf(stderr,
                              "muirc: --seed '%s' is not an unsigned "
                              "integer\n", v);
@@ -327,7 +292,7 @@ main(int argc, char **argv)
             }
         } else if (arg == "--max-cycles") {
             const char *v = next();
-            if (!parseU64Arg(v, max_cycles) || max_cycles == 0) {
+            if (!parseU64(v, max_cycles) || max_cycles == 0) {
                 std::fprintf(stderr,
                              "muirc: --max-cycles '%s' is not a "
                              "positive integer\n", v);
